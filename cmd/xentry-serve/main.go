@@ -1,8 +1,8 @@
 // Command xentry-serve runs the distributed campaign coordinator: an
 // HTTP/JSON service that accepts fault-injection campaign specs, splits
-// each campaign into activation-sorted shards, executes them on a bounded
-// worker pool, and records every outcome in a durable write-ahead store so
-// interrupted campaigns resume instead of restarting.
+// each campaign into activation-sorted shards, leases them to in-process
+// worker sessions, and records every outcome in a durable write-ahead
+// store so interrupted campaigns resume instead of restarting.
 //
 // Usage:
 //
@@ -25,8 +25,9 @@
 // -fleet ADDR additionally opens the binary shard-protocol listener for
 // remote xentry-worker processes; campaigns submitted with
 // "execution": "fleet" are then executed by whatever workers are
-// connected instead of the in-process pool, with all result traffic on
-// the binary data plane and only control traffic on HTTP.
+// connected instead of in-process sessions, with all result traffic on
+// the binary data plane and only control traffic on HTTP. Both kinds of
+// session speak the same shard protocol to the same lease scheduler.
 package main
 
 import (
@@ -34,7 +35,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"time"
 
 	"xentry/internal/server"
 )
@@ -44,10 +44,12 @@ func main() {
 	log.SetPrefix("xentry-serve: ")
 	addr := flag.String("addr", ":8044", "listen address")
 	data := flag.String("data", "xentry-data", "root directory for campaign result stores")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "injection worker pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+		"in-process worker sessions per campaign (campaigns with execution \"fleet\" use remote workers instead)")
 	shardSize := flag.Int("shard-size", 64, "plan indices per shard")
 	maxAttempts := flag.Int("max-attempts", 3, "attempts per shard before the campaign fails")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard attempt timeout (0 = none)")
+	shardTimeout := flag.Duration("shard-timeout", 0,
+		"lease timeout: a shard lease with no accepted batch for this long expires and consumes an attempt (0 = 2m default)")
 	fleetAddr := flag.String("fleet", "",
 		"fleet listener address for remote xentry-worker processes (empty = fleet execution disabled)")
 	flag.Parse()
@@ -68,7 +70,6 @@ func main() {
 		Workers:      *workers,
 		ShardSize:    *shardSize,
 		MaxAttempts:  *maxAttempts,
-		Backoff:      100 * time.Millisecond,
 		ShardTimeout: *shardTimeout,
 		Fleet:        fleet,
 	})

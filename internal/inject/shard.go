@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -159,27 +158,6 @@ func SliceShards(order []int, size int) [][]int {
 		order = order[size:]
 	}
 	return append(shards, order)
-}
-
-// RunIndices executes the given plan indices on this worker in order,
-// calling emit for each classified outcome. It stops early (returning
-// ctx.Err()) when the context is cancelled — the caller requeues whatever
-// was not emitted. emit runs on the worker's goroutine.
-func (w *Worker) RunIndices(ctx context.Context, plans []Plan, indices []int, emit func(index int, o Outcome)) error {
-	for _, i := range indices {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if i < 0 || i >= len(plans) {
-			return fmt.Errorf("inject: plan index %d out of range [0,%d)", i, len(plans))
-		}
-		o, err := w.RunOne(plans[i])
-		if err != nil {
-			return fmt.Errorf("inject: plan %v: %w", plans[i], err)
-		}
-		emit(i, o)
-	}
-	return nil
 }
 
 // ResultSink is durable storage for campaign outcomes, keyed by (benchmark,

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"context"
 	"reflect"
 	"testing"
 )
@@ -75,55 +74,5 @@ func TestActivationOrderAndShards(t *testing.T) {
 	}
 	if got := SliceShards(nil, 4); got != nil {
 		t.Error("empty order must yield no shards")
-	}
-}
-
-// TestRunIndicesMatchesRunOne: executing a shard through RunIndices gives
-// outcome-for-outcome the same classifications as RunOne.
-func TestRunIndicesMatchesRunOne(t *testing.T) {
-	_, br := testBenchmarkRun(t)
-	ref := br.Runner.NewWorker()
-	want := make([]Outcome, len(br.Plans))
-	for i, p := range br.Plans {
-		var err error
-		if want[i], err = ref.RunOne(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shard := ActivationOrder(br.Plans)[3:15]
-	got := map[int]Outcome{}
-	err := br.Runner.NewWorker().RunIndices(context.Background(), br.Plans, shard,
-		func(i int, o Outcome) { got[i] = o })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(shard) {
-		t.Fatalf("emitted %d outcomes, want %d", len(got), len(shard))
-	}
-	for _, i := range shard {
-		if got[i] != want[i] {
-			t.Errorf("index %d: shard outcome %+v != reference %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestRunIndicesStopsOnCancel: a killed worker's shard stops between runs
-// and reports ctx.Err(), leaving the un-emitted remainder for reassignment.
-func TestRunIndicesStopsOnCancel(t *testing.T) {
-	_, br := testBenchmarkRun(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	emitted := 0
-	err := br.Runner.NewWorker().RunIndices(ctx, br.Plans, ActivationOrder(br.Plans),
-		func(i int, o Outcome) {
-			emitted++
-			if emitted == 5 {
-				cancel()
-			}
-		})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if emitted != 5 {
-		t.Fatalf("emitted %d outcomes after cancel, want exactly 5", emitted)
 	}
 }

@@ -5,18 +5,23 @@
 // events, fetch results rendered exactly like single-process runs.
 //
 // The engine splits each benchmark's plan list into activation-sorted
-// shards and dispatches them to a bounded pool of workers. A shard attempt
-// that fails — worker killed, per-shard timeout, simulator error — is
-// requeued with backoff, minus whatever outcomes the store already holds,
-// and picked up by any live worker; outcomes fold at their original plan
-// index, so the final aggregates are bit-identical to single-process
-// inject.RunCampaign with the same seed no matter how the work was split,
-// retried, or reassigned.
+// shards and leases them to worker sessions over the binary shard
+// protocol: remote xentry-worker processes on a Fleet listener, or, for
+// a campaign without one, in-process sessions over net.Pipe that run the
+// same session code. A lease that fails — session killed or
+// disconnected, lease expired, simulator error — is requeued minus
+// whatever outcomes the store already holds and picked up by any live
+// session; outcomes fold at their original plan index, so the final
+// aggregates are bit-identical to single-process inject.RunCampaign with
+// the same seed no matter how the work was split, retried, or
+// reassigned.
 package server
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"net"
 	"runtime"
 	"sync"
 	"time"
@@ -74,43 +79,45 @@ type Event struct {
 	Site string `json:"site,omitempty"`
 }
 
-// Engine executes one campaign through a durable store with a sharded
-// worker pool. Zero values get defaults on Run.
+// Engine executes one campaign through a durable store, leasing shards to
+// worker sessions. Zero values get defaults on Run.
 type Engine struct {
 	// Store receives every outcome and assembles the result. Required; a
 	// partially full store resumes — stored indices are never re-planned.
 	Store *store.Store
-	// Workers is the pool size (default GOMAXPROCS).
+	// Workers is the number of in-process sessions a campaign without a
+	// Fleet runs (default GOMAXPROCS).
 	Workers int
 	// ShardSize is the number of plan indices per shard (default 64).
 	ShardSize int
 	// MaxAttempts bounds tries per shard before the campaign fails
-	// (default 3). Worker deaths do not consume attempts: a shard
-	// reassigned from a killed worker keeps its attempt count.
+	// (default 3). Worker-reported failures, cross-check mismatches and
+	// lease expiries consume an attempt; a disconnected or killed
+	// session does not — its shard requeues with its attempt count.
 	MaxAttempts int
-	// Backoff delays a shard's requeue after a failed attempt, scaled
-	// linearly by attempt number (default 100ms; tests set ~0).
-	Backoff time.Duration
-	// ShardTimeout bounds one shard attempt (0 = no timeout).
+	// ShardTimeout is the lease timeout: a lease with no accepted batch
+	// for this long expires and its shard requeues (default 2 minutes).
 	ShardTimeout time.Duration
 	// OnEvent, when set, receives every engine event. It is called
-	// synchronously from coordinator and worker goroutines and must be
-	// safe for that.
+	// synchronously from the run's coordinator, connection and ingest
+	// goroutines, never with the lease table locked, and must be safe for
+	// that.
 	OnEvent func(Event)
-	// Fleet, when set, executes the campaign over the remote worker fleet
-	// instead of the in-process pool: shards are leased to connected
-	// xentry-worker processes over the binary shard protocol, and their
-	// batched results are group-committed off the HTTP/JSON path. Workers,
-	// PoolWorkers and KillWorker do not apply in fleet mode.
+	// Fleet, when set, executes the campaign over the remote worker fleet:
+	// shards are leased to connected xentry-worker processes, and their
+	// batched results are group-committed off the HTTP/JSON path. Workers
+	// and KillWorker apply only to the in-process sessions of a campaign
+	// without a Fleet.
 	Fleet *Fleet
 	// Spec is the canonical campaign spec JSON served to fleet workers in
 	// the Welcome message; each worker derives its CampaignConfig (plans,
 	// detectors, trained model) from it. Required in fleet mode, and it
-	// must describe exactly the config passed to Run.
+	// must describe exactly the config passed to Run. In-process sessions
+	// use the config passed to Run directly.
 	Spec []byte
 
-	mu   sync.Mutex
-	pool *workerPool
+	mu  sync.Mutex
+	run *fleetRun
 }
 
 func (e *Engine) emit(ev Event) {
@@ -119,35 +126,40 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// KillWorker cancels one pool worker mid-shard, as if its process died.
-// Its current shard is requeued (minus already-stored outcomes) for the
-// surviving workers. Only valid while Run is active.
+// KillWorker severs one in-process session mid-shard, as if its process
+// died; id is the session id carried in Event.Worker. The session does
+// not redial, and its lease requeues (minus already-stored outcomes)
+// without consuming an attempt; anything it sent that the coordinator has
+// not yet processed no longer settles a shard. Only valid while Run is
+// active.
 func (e *Engine) KillWorker(id int) error {
 	e.mu.Lock()
-	p := e.pool
+	run := e.run
 	e.mu.Unlock()
-	if p == nil {
+	if run == nil {
 		return fmt.Errorf("server: engine not running")
 	}
-	return p.kill(id)
+	return run.kill(id)
 }
 
 // Run executes the campaign to completion — every plan index the store
 // does not already hold — and returns the normalized aggregates from the
-// store. The context cancels the whole run (workers stop between
-// injections); a cancelled run resumes later from whatever the store
-// persisted.
+// store. The coordinator derives each benchmark's plan list (PreparePlans,
+// no checkpoint pool) only to compute the activation-sorted shard split,
+// and enqueues every benchmark's shards as soon as they are known. The
+// context cancels the whole run; a cancelled run resumes later from
+// whatever the store persisted.
 func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("server: engine needs a store")
 	}
 	cfg = cfg.Normalized()
-	if e.Fleet != nil {
-		return e.runFleet(ctx, cfg)
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	f := e.Fleet
+	if f == nil {
+		f = newFleet(nil)
+		defer f.Close()
+	} else if len(e.Spec) == 0 {
+		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
 	}
 	shardSize := e.ShardSize
 	if shardSize <= 0 {
@@ -157,384 +169,134 @@ func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.Ca
 	if maxAttempts <= 0 {
 		maxAttempts = 3
 	}
-	backoff := e.Backoff
-	if backoff == 0 {
-		backoff = 100 * time.Millisecond
+	leaseTimeout := e.ShardTimeout
+	if leaseTimeout <= 0 {
+		leaseTimeout = 2 * time.Minute
 	}
 	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
 	id := e.Store.Meta().CampaignID
 
-	p := newWorkerPool(ctx, workers)
-	p.configure(maxAttempts, backoff, e.ShardTimeout)
+	run := newFleetRun(e, f, cfg, leaseTimeout, maxAttempts)
+	if err := f.register(run); err != nil {
+		return nil, err
+	}
 	e.mu.Lock()
-	e.pool = p
+	e.run = run
 	e.mu.Unlock()
+	sessCtx, stopSessions := context.WithCancel(ctx)
+	var sessions sync.WaitGroup
 	defer func() {
-		p.shutdown()
 		e.mu.Lock()
-		e.pool = nil
+		e.run = nil
 		e.mu.Unlock()
+		stopSessions()
+		sessions.Wait()
+		run.stop()
 	}()
+	go run.ingestLoop(ctx)
+	go run.reap()
+	// Wake the coordinator's wait when the run context dies. Holding run.mu
+	// keeps the Broadcast from landing between wait()'s ctx.Err() check
+	// and its cond.Wait(), which would lose the wakeup.
+	defer context.AfterFunc(ctx, func() {
+		run.mu.Lock()
+		run.cond.Broadcast()
+		run.mu.Unlock()
+	})()
 
-	progress := func() (int, int) { return e.Store.TotalCount(), total }
-
+	progress := func() int { return e.Store.TotalCount() }
+	fail := func(bench string, err error) (*inject.CampaignResult, error) {
+		e.emit(Event{Type: EventCampaignFailed, Campaign: id, Bench: bench,
+			Done: progress(), Total: total, Err: err.Error()})
+		return nil, err
+	}
+	started := e.Fleet != nil
 	for bi, bench := range cfg.Benchmarks {
 		if e.Store.Count(bench) >= cfg.InjectionsPerBenchmark {
 			continue // fully stored: skip even the golden run
 		}
-		done, _ := progress()
-		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: done, Total: total})
-		br, err := inject.PrepareBenchmark(cfg, bi)
+		if err := ctx.Err(); err != nil {
+			return fail(bench, err)
+		}
+		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: progress(), Total: total})
+		plans, err := inject.PreparePlans(cfg, bi)
 		if err != nil {
 			return nil, err
 		}
-		order := inject.ActivationOrder(br.Plans)
+		order := inject.ActivationOrder(plans)
 		todo := order[:0]
 		for _, i := range order {
 			if !e.Store.Has(bench, i) {
 				todo = append(todo, i)
 			}
 		}
-		for si, indices := range inject.SliceShards(todo, shardSize) {
-			job := &shardJob{
-				bench:   bench,
-				shard:   si,
-				attempt: 1,
-				runner:  br.Runner,
-				plans:   br.Plans,
-				indices: indices,
+		run.enqueueBench(bi, bench, inject.SliceShards(todo, shardSize))
+		if !started {
+			// Sessions start with the first shards, so none polls an
+			// empty queue while the coordinator derives plans.
+			started = true
+			workers := e.Workers
+			if workers <= 0 {
+				workers = runtime.GOMAXPROCS(0)
 			}
-			job.exec = func(w *worker, job *shardJob, attemptCtx context.Context) error {
-				done, total := progress()
-				e.emit(Event{Type: EventShardStart, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt, Done: done, Total: total})
-				runCtx, cancel := context.WithCancel(attemptCtx)
-				defer cancel()
-				var recordErr error
-				err := w.workerFor(job.runner).RunIndices(runCtx, job.plans, job.indices,
-					func(i int, o inject.Outcome) {
-						if recordErr != nil {
-							return
-						}
-						if err := e.Store.Record(job.bench, i, o); err != nil {
-							// Lost durability fails the attempt; the requeue
-							// path recomputes what is still missing.
-							recordErr = err
-							cancel()
-							return
-						}
-						done, total := progress()
-						ev := Event{Type: EventOutcome, Campaign: id, Bench: job.bench,
-							Shard: job.shard, Worker: w.id, Done: done, Total: total,
-							Site: o.Plan.Site.String()}
-						if o.Detected.Detected() {
-							ev.Technique = o.Detected.String()
-						}
-						if o.Pruned != inject.PruneNone {
-							ev.Pruned = o.Pruned.String()
-						}
-						if o.Recovery.Attempted {
-							ev.RecoveryStrategy = o.Recovery.Strategy.String()
-							ev.RecoveryOutcome = o.Recovery.Class.String()
-						}
-						e.emit(ev)
-					})
-				if recordErr != nil {
-					return recordErr
-				}
-				return err
+			for wid, conn := range run.connectLocal(workers) {
+				sessions.Add(1)
+				go func() {
+					defer sessions.Done()
+					run.localSession(sessCtx, cfg, wid, conn)
+				}()
 			}
-			job.onDone = func(w *worker, job *shardJob) {
-				done, total := progress()
-				e.emit(Event{Type: EventShardDone, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt, Done: done, Total: total})
-			}
-			job.onRequeue = func(w *worker, job *shardJob, cause error, workerDied bool) {
-				// Drop indices the store caught before the failure; only the
-				// remainder is reassigned.
-				remaining := make([]int, 0, len(job.indices))
-				for _, i := range job.indices {
-					if !e.Store.Has(job.bench, i) {
-						remaining = append(remaining, i)
-					}
-				}
-				job.indices = remaining
-				done, total := progress()
-				if workerDied {
-					e.emit(Event{Type: EventWorkerDead, Campaign: id, Bench: job.bench,
-						Shard: job.shard, Worker: w.id, Done: done, Total: total, Err: cause.Error()})
-				}
-				e.emit(Event{Type: EventShardRequeued, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt,
-					Done: done, Total: total, Err: cause.Error()})
-			}
-			p.enqueue(job)
-		}
-		if err := p.wait(); err != nil {
-			done, _ := progress()
-			e.emit(Event{Type: EventCampaignFailed, Campaign: id, Bench: bench,
-				Done: done, Total: total, Err: err.Error()})
-			return nil, err
 		}
 	}
+	if err := run.wait(ctx); err != nil {
+		return fail("", err)
+	}
+	run.finish()
 	res, err := e.Store.Result()
 	if err != nil {
 		return nil, err
 	}
-	done, _ := progress()
-	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: done, Total: total})
+	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: progress(), Total: total})
 	return res, nil
 }
 
-// shardJob is one shard's unit of work plus the engine callbacks bound to
-// it. The pool itself knows nothing about campaigns — it schedules jobs,
-// enforces timeouts and attempt limits, and survives worker deaths.
-type shardJob struct {
-	bench   string
-	shard   int
-	attempt int
-	runner  *inject.Runner
-	plans   []inject.Plan
-	indices []int
-
-	exec      func(w *worker, job *shardJob, ctx context.Context) error
-	onDone    func(w *worker, job *shardJob)
-	onRequeue func(w *worker, job *shardJob, cause error, workerDied bool)
+// connectLocal opens n in-process session transports: net.Pipes whose
+// coordinator ends the run's own fleet serves (it stays open until the
+// sessions end). It returns each worker end by session id, and registers
+// all of them before any session runs, so the first to die cannot take
+// itself for the last.
+func (run *fleetRun) connectLocal(n int) map[int]net.Conn {
+	conns := map[int]net.Conn{}
+	for range n {
+		client, srv := net.Pipe()
+		wid, _ := run.fleet.track(srv)
+		go run.fleet.serveConn(srv, wid)
+		conns[wid] = client
+	}
+	run.mu.Lock()
+	maps.Copy(run.local, conns)
+	run.mu.Unlock()
+	return conns
 }
 
-// worker is one pool worker: a goroutine with its own cancellable context
-// (so it can be killed independently) and a reusable inject.Worker per
-// runner, kept across shards of the same benchmark for checkpoint-pool
-// locality.
-type worker struct {
-	id     int
-	ctx    context.Context
-	cancel context.CancelFunc
+// localSession runs RunWorker's session body over an in-process
+// connection. It takes the coordinator's config, model included, instead
+// of re-deriving it from the Welcome spec, and it never redials. When the
+// last session dies while the campaign still has work, the run fails.
+func (run *fleetRun) localSession(ctx context.Context, cfg inject.CampaignConfig, wid int, conn net.Conn) {
+	// A batch over a pipe costs no network round trip, so flush often: the
+	// first outcomes, and the progress events they carry, go out after
+	// milliseconds rather than after a whole shard.
+	opts := WorkerOptions{Campaign: run.id, FlushInterval: 5 * time.Millisecond}
+	opts.withDefaults()
+	st := &workerState{opts: &opts, cfg: cfg, local: true, benchAt: -1}
+	err := st.session(ctx, conn)
 
-	lastRunner *inject.Runner
-	lastWorker *inject.Worker
-}
-
-func (w *worker) workerFor(r *inject.Runner) *inject.Worker {
-	if w.lastRunner != r {
-		w.lastRunner, w.lastWorker = r, r.NewWorker()
-	}
-	return w.lastWorker
-}
-
-// workerPool schedules shard jobs onto a fixed set of kill-able workers.
-type workerPool struct {
-	ctx          context.Context
-	maxAttempts  int
-	backoff      time.Duration
-	shardTimeout time.Duration
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []*shardJob
-	outstanding int // jobs enqueued, delayed for backoff, or running
-	live        int
-	err         error
-	closed      bool
-	done        chan struct{}
-	workers     []*worker
-}
-
-func newWorkerPool(ctx context.Context, n int) *workerPool {
-	p := &workerPool{ctx: ctx, live: n, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < n; i++ {
-		wctx, cancel := context.WithCancel(ctx)
-		w := &worker{id: i, ctx: wctx, cancel: cancel}
-		p.workers = append(p.workers, w)
-		go p.runWorker(w)
-	}
-	// Wake cond waiters (idle workers, the coordinator in wait) when the
-	// run context is cancelled; they re-check their exit conditions.
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.cond.Broadcast()
-		case <-p.done:
-		}
-	}()
-	return p
-}
-
-// configure is called by the engine before the first enqueue.
-func (p *workerPool) configure(maxAttempts int, backoff, shardTimeout time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.maxAttempts, p.backoff, p.shardTimeout = maxAttempts, backoff, shardTimeout
-}
-
-func (p *workerPool) enqueue(job *shardJob) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.outstanding++
-	p.queue = append(p.queue, job)
-	p.cond.Broadcast()
-}
-
-// requeueLater re-adds a failed job after its backoff without consuming a
-// worker. The job stays outstanding the whole time.
-func (p *workerPool) requeueLater(job *shardJob, delay time.Duration) {
-	readd := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.queue = append(p.queue, job)
-		p.cond.Broadcast()
-	}
-	if delay <= 0 {
-		readd()
-		return
-	}
-	time.AfterFunc(delay, readd)
-}
-
-// next blocks until a job is available for this worker, or returns nil
-// when the worker is dead or the pool is done.
-func (p *workerPool) next(w *worker) *shardJob {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed || p.err != nil || w.ctx.Err() != nil {
-			return nil
-		}
-		if len(p.queue) > 0 {
-			job := p.queue[0]
-			p.queue = p.queue[1:]
-			return job
-		}
-		p.cond.Wait()
-	}
-}
-
-func (p *workerPool) runWorker(w *worker) {
-	defer func() {
-		p.mu.Lock()
-		p.live--
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}()
-	for {
-		job := p.next(w)
-		if job == nil {
-			return
-		}
-		p.execute(w, job)
-		if w.ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// execute runs one shard attempt and settles its outcome: done, requeued
-// with backoff, or fatal after max attempts.
-func (p *workerPool) execute(w *worker, job *shardJob) {
-	attemptCtx := w.ctx
-	var cancel context.CancelFunc
-	if p.shardTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(attemptCtx, p.shardTimeout)
-		defer cancel()
-	}
-	err := job.exec(w, job, attemptCtx)
-	if err == nil {
-		job.onDone(w, job)
-		p.settle(nil)
-		return
-	}
-	workerDied := w.ctx.Err() != nil
-	if p.ctx.Err() != nil {
-		// The whole run was cancelled: fail the campaign with the cause.
-		p.settle(p.ctx.Err())
-		return
-	}
-	if !workerDied {
-		job.attempt++
-		if job.attempt > p.maxAttempts {
-			p.settle(fmt.Errorf("server: %s shard %d failed after %d attempts: %w",
-				job.bench, job.shard, p.maxAttempts, err))
-			return
-		}
-	}
-	job.onRequeue(w, job, err, workerDied)
-	p.mu.Lock()
-	noneLive := p.live <= 1 && workerDied // this worker is about to exit
-	p.mu.Unlock()
-	if noneLive {
-		p.settle(fmt.Errorf("server: last worker died: %w", err))
-		return
-	}
-	// The job stays outstanding; it re-enters the queue after backoff
-	// (immediately for a reassignment from a dead worker — the shard did
-	// nothing wrong).
-	delay := time.Duration(0)
-	if !workerDied {
-		delay = p.backoff * time.Duration(job.attempt-1)
-	}
-	p.requeueLater(job, delay)
-}
-
-// settle marks one outstanding job finished (err == nil) or fails the
-// pool.
-func (p *workerPool) settle(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err != nil {
-		if p.err == nil {
-			p.err = err
-		}
-	} else {
-		p.outstanding--
-	}
-	p.cond.Broadcast()
-}
-
-// wait blocks until every outstanding job settled or the pool failed.
-func (p *workerPool) wait() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.err != nil {
-			return p.err
-		}
-		if p.outstanding == 0 {
-			return nil
-		}
-		// Run-context cancellation outranks the no-live-workers diagnosis:
-		// cancelling the run kills every worker, and the caller should see
-		// the cancellation, not its side effect.
-		if err := p.ctx.Err(); err != nil {
-			return err
-		}
-		if p.live == 0 {
-			return fmt.Errorf("server: no live workers with %d shards outstanding", p.outstanding)
-		}
-		p.cond.Wait()
-	}
-}
-
-func (p *workerPool) kill(id int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id < 0 || id >= len(p.workers) {
-		return fmt.Errorf("server: no worker %d", id)
-	}
-	p.workers[id].cancel()
-	p.cond.Broadcast()
-	return nil
-}
-
-func (p *workerPool) shutdown() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.done)
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	for _, w := range p.workers {
-		w.cancel()
+	run.mu.Lock()
+	delete(run.local, wid)
+	last := len(run.local) == 0
+	run.mu.Unlock()
+	if last && err != nil && ctx.Err() == nil {
+		run.fail(fmt.Errorf("server: last worker died: %w", err))
 	}
 }

@@ -15,11 +15,14 @@ import (
 	"xentry/internal/wire"
 )
 
-// This file is the coordinator side of the multi-process campaign data
-// plane. A Fleet owns one TCP listener shared by every campaign; each
-// fleet-mode Engine.Run registers a fleetRun with it, and remote
-// xentry-worker processes connect, lease activation-sorted shards, and
-// stream outcome batches back as concatenated WAL-ready record frames.
+// This file is the coordinator side of the campaign data plane and its
+// one shard scheduler. A Fleet owns one TCP listener shared by every
+// campaign; each fleet-mode Engine.Run registers a fleetRun with it, and
+// remote xentry-worker processes connect, lease activation-sorted shards,
+// and stream outcome batches back as concatenated WAL-ready record
+// frames. A campaign without a fleet registers with a private,
+// listener-less Fleet instead, whose sessions are in-process and connect
+// over net.Pipe.
 //
 // The hot path is deliberately narrow: the per-connection goroutine
 // verifies and decodes each record (interning strings, so steady state is
@@ -39,6 +42,10 @@ import (
 // fleetIngestDepth bounds each campaign's ingest queue (in batches, not
 // records). Past half this depth, acks ask workers to slow down.
 const fleetIngestDepth = 64
+
+// fleetRetryMillis is the pause a NoWork answer asks a session to take
+// before its next lease request.
+const fleetRetryMillis = 100
 
 // FleetStats is a snapshot of the fleet's lifetime counters.
 type FleetStats struct {
@@ -63,11 +70,12 @@ type Fleet struct {
 	ln net.Listener
 	wg sync.WaitGroup
 
-	mu      sync.Mutex
-	runs    map[string]*fleetRun
-	conns   map[net.Conn]struct{}
-	closed  bool
-	workSeq int
+	mu        sync.Mutex
+	runs      map[string]*fleetRun
+	completed map[string]bool // finished campaigns no longer registered
+	conns     map[net.Conn]struct{}
+	closed    bool
+	workSeq   int
 
 	workers   atomic.Int64
 	batches   atomic.Int64
@@ -86,14 +94,17 @@ func NewFleet(addr string) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	f := &Fleet{
-		ln:    ln,
-		runs:  map[string]*fleetRun{},
-		conns: map[net.Conn]struct{}{},
-	}
+	f := newFleet(ln)
 	f.wg.Add(1)
 	go f.accept()
 	return f, nil
+}
+
+// newFleet returns a fleet serving ln; a nil ln gives a listener-less
+// fleet that serves only the in-process sessions of one Engine.Run.
+func newFleet(ln net.Listener) *Fleet {
+	return &Fleet{ln: ln, runs: map[string]*fleetRun{}, completed: map[string]bool{},
+		conns: map[net.Conn]struct{}{}}
 }
 
 // Addr returns the listener's address, for workers to dial.
@@ -126,7 +137,9 @@ func (f *Fleet) Close() {
 		conns = append(conns, c)
 	}
 	f.mu.Unlock()
-	f.ln.Close()
+	if f.ln != nil {
+		f.ln.Close()
+	}
 	for _, c := range conns {
 		c.Close()
 	}
@@ -143,19 +156,27 @@ func (f *Fleet) register(run *fleetRun) error {
 		return fmt.Errorf("fleet: campaign %s already registered", run.id)
 	}
 	f.runs[run.id] = run
+	delete(f.completed, run.id)
 	return nil
 }
 
+// unregister removes a run. A finished campaign is remembered, so a worker
+// that redials after completion is told Done instead of being refused
+// until its dial budget runs out.
 func (f *Fleet) unregister(id string) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if run := f.runs[id]; run != nil && run.phase() == fleetRunDone {
+		f.completed[id] = true
+	}
 	delete(f.runs, id)
-	f.mu.Unlock()
 }
 
-func (f *Fleet) lookup(id string) *fleetRun {
+// lookup returns the campaign's registered run, or whether it completed.
+func (f *Fleet) lookup(id string) (*fleetRun, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.runs[id]
+	return f.runs[id], f.completed[id]
 }
 
 func (f *Fleet) accept() {
@@ -165,19 +186,28 @@ func (f *Fleet) accept() {
 		if err != nil {
 			return
 		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
+		wid, ok := f.track(conn)
+		if !ok {
 			conn.Close()
 			return
 		}
-		f.conns[conn] = struct{}{}
-		f.workSeq++
-		wid := f.workSeq
-		f.mu.Unlock()
-		f.wg.Add(1)
 		go f.serveConn(conn, wid)
 	}
+}
+
+// track registers a connection for Close and assigns its session id; the
+// caller then runs serveConn on it. It reports false once the fleet is
+// closed.
+func (f *Fleet) track(conn net.Conn) (int, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return 0, false
+	}
+	f.conns[conn] = struct{}{}
+	f.workSeq++
+	f.wg.Add(1)
+	return f.workSeq, true
 }
 
 // refuse sends a best-effort protocol error and lets the deferred close
@@ -217,13 +247,17 @@ func (f *Fleet) serveConn(conn net.Conn, wid int) {
 		refuse(conn, "fleet: protocol version %d unsupported (want %d)", msg.Hello.Version, wire.ProtoVersion)
 		return
 	}
-	run := f.lookup(msg.Hello.Campaign)
+	run, completed := f.lookup(msg.Hello.Campaign)
+	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	if completed {
+		conn.Write(wire.AppendDone(nil))
+		return
+	}
 	if run == nil {
 		refuse(conn, "fleet: unknown campaign %q", msg.Hello.Campaign)
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.spec})); err != nil {
+	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.eng.Spec})); err != nil {
 		return
 	}
 
@@ -294,7 +328,7 @@ func (s *fleetSession) leaseReq(out []byte) ([]byte, error) {
 	case fleetRunStopped:
 		return nil, fmt.Errorf("campaign %s is not running", s.run.id)
 	default:
-		return wire.AppendNoWork(out, wire.NoWork{RetryMillis: s.run.retryMillis}), nil
+		return wire.AppendNoWork(out, wire.NoWork{RetryMillis: fleetRetryMillis}), nil
 	}
 }
 
@@ -438,15 +472,14 @@ type fleetLease struct {
 // lease table, and the ingest pipeline.
 type fleetRun struct {
 	id           string
-	spec         []byte
 	eng          *Engine
+	fleet        *Fleet
 	store        *store.Store
 	total        int
 	benches      map[string]bool
 	injections   int
 	maxAttempts  int
 	leaseTimeout time.Duration
-	retryMillis  uint64
 
 	ingest     chan ingestItem
 	done       chan struct{}
@@ -462,25 +495,31 @@ type fleetRun struct {
 	finished    bool
 	stopped     bool
 	err         error
+	// local maps each live in-process session's id to its worker end of
+	// the pipe; killed holds the sessions KillWorker severed, whose
+	// queued messages no longer settle or fail a lease.
+	local  map[int]net.Conn
+	killed map[int]bool
 }
 
-func newFleetRun(e *Engine, cfg inject.CampaignConfig, leaseTimeout time.Duration, maxAttempts int) *fleetRun {
+func newFleetRun(e *Engine, f *Fleet, cfg inject.CampaignConfig, leaseTimeout time.Duration, maxAttempts int) *fleetRun {
 	run := &fleetRun{
 		id:           e.Store.Meta().CampaignID,
-		spec:         e.Spec,
 		eng:          e,
+		fleet:        f,
 		store:        e.Store,
 		total:        len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark,
 		benches:      map[string]bool{},
 		injections:   cfg.InjectionsPerBenchmark,
 		maxAttempts:  maxAttempts,
 		leaseTimeout: leaseTimeout,
-		retryMillis:  100,
 		ingest:       make(chan ingestItem, fleetIngestDepth),
 		done:         make(chan struct{}),
 		ingestDone:   make(chan struct{}),
 		dec:          wire.NewDecoder(),
 		leases:       map[uint64]*fleetLease{},
+		local:        map[int]net.Conn{},
+		killed:       map[int]bool{},
 	}
 	for _, b := range cfg.Benchmarks {
 		run.benches[b] = true
@@ -532,57 +571,61 @@ func (run *fleetRun) renewLease(id uint64, wid int) {
 
 // grantLease pops the next shard that still has un-stored indices and
 // leases it to the worker. Shards whose every index landed in the store
-// meanwhile (stale-lease duplicates) settle on the spot.
+// meanwhile (stale-lease duplicates) settle on the spot. Events go out
+// after run.mu is released.
 func (run *fleetRun) grantLease(wid int) *wire.Lease {
+	var settled []*fleetShard
+	var lease *wire.Lease
+	var sh *fleetShard
 	run.mu.Lock()
-	defer run.mu.Unlock()
-	for !run.finished && !run.stopped && run.err == nil && len(run.queue) > 0 {
-		sh := run.queue[0]
+	for !run.finished && !run.stopped && run.err == nil && !run.killed[wid] && len(run.queue) > 0 {
+		sh = run.queue[0]
 		run.queue = run.queue[1:]
-		remaining := sh.indices[:0]
-		for _, i := range sh.indices {
-			if !run.store.Has(sh.bench, i) {
-				remaining = append(remaining, i)
-			}
-		}
-		sh.indices = remaining
-		if len(remaining) == 0 {
-			run.settleLocked(sh, wid)
+		if run.dropStored(sh) == 0 {
+			settled = append(settled, sh)
 			continue
 		}
 		run.leaseSeq++
-		l := &fleetLease{
+		run.leases[run.leaseSeq] = &fleetLease{
 			id:       run.leaseSeq,
 			wid:      wid,
 			shard:    sh,
 			deadline: time.Now().Add(run.leaseTimeout),
 			tally:    inject.NewTally(),
 		}
-		run.leases[l.id] = l
-		done, total := run.store.TotalCount(), run.total
-		run.eng.emit(Event{Type: EventShardStart, Campaign: run.id, Bench: sh.bench,
-			Shard: sh.shard, Worker: wid, Attempt: sh.attempt, Done: done, Total: total})
 		// Copy the indices: the wire message is encoded after run.mu is
 		// released, and if the lease expires first, requeue() filters
 		// sh.indices in place on the ingest goroutine.
-		return &wire.Lease{ID: l.id, Bench: sh.bench, BenchAt: sh.benchAt, Shard: sh.shard,
+		lease = &wire.Lease{ID: run.leaseSeq, Bench: sh.bench, BenchAt: sh.benchAt, Shard: sh.shard,
 			Indices: append([]int(nil), sh.indices...)}
+		break
 	}
-	return nil
+	run.mu.Unlock()
+	run.settle(wid, settled...)
+	if lease != nil {
+		run.emitShard(EventShardStart, sh, wid, "")
+	}
+	return lease
 }
 
-// settleLocked marks one shard complete. Callers hold run.mu.
-func (run *fleetRun) settleLocked(sh *fleetShard, wid int) {
-	done, total := run.store.TotalCount(), run.total
-	run.eng.emit(Event{Type: EventShardDone, Campaign: run.id, Bench: sh.bench,
-		Shard: sh.shard, Worker: wid, Attempt: sh.attempt, Done: done, Total: total})
-	run.outstanding--
-	run.cond.Broadcast()
+// emitShard emits one shard lifecycle event. Callers must not hold run.mu.
+func (run *fleetRun) emitShard(typ EventType, sh *fleetShard, wid int, errMsg string) {
+	run.eng.emit(Event{Type: typ, Campaign: run.id, Bench: sh.bench, Shard: sh.shard, Worker: wid,
+		Attempt: sh.attempt, Done: run.store.TotalCount(), Total: run.total, Err: errMsg})
 }
 
-func (run *fleetRun) settle(sh *fleetShard, wid int) {
+// settle marks shards complete. Their shard_done events go out before the
+// outstanding count drops, so campaign_done follows every one of them.
+func (run *fleetRun) settle(wid int, shards ...*fleetShard) {
+	if len(shards) == 0 {
+		return
+	}
+	for _, sh := range shards {
+		run.emitShard(EventShardDone, sh, wid, "")
+	}
 	run.mu.Lock()
-	run.settleLocked(sh, wid)
+	run.outstanding -= len(shards)
+	run.cond.Broadcast()
 	run.mu.Unlock()
 }
 
@@ -595,24 +638,13 @@ func (run *fleetRun) fail(err error) {
 	run.mu.Unlock()
 }
 
-// requeue puts a shard's still-missing indices back on the queue.
-// bumpAttempt distinguishes real failures (worker-reported errors,
-// cross-check mismatches — these consume an attempt) from reassignments
-// (disconnects, expiries — the shard did nothing wrong). A shard whose
-// indices all landed anyway settles instead.
+// requeue puts a shard's still-missing indices back at the head of the
+// queue; the next lease request settles it on the spot if none are left.
+// bumpAttempt distinguishes shards that consumed an attempt
+// (worker-reported errors, cross-check mismatches, expired leases) from
+// reassignments (disconnects and kills — the shard did nothing wrong).
 func (run *fleetRun) requeue(sh *fleetShard, wid int, cause error, bumpAttempt bool) {
-	remaining := sh.indices[:0]
-	for _, i := range sh.indices {
-		if !run.store.Has(sh.bench, i) {
-			remaining = append(remaining, i)
-		}
-	}
-	sh.indices = remaining
-	if len(remaining) == 0 {
-		run.settle(sh, wid)
-		return
-	}
-	if bumpAttempt {
+	if bumpAttempt && run.dropStored(sh) > 0 {
 		sh.attempt++
 		if sh.attempt > run.maxAttempts {
 			run.fail(fmt.Errorf("server: %s shard %d failed after %d attempts: %w",
@@ -620,13 +652,43 @@ func (run *fleetRun) requeue(sh *fleetShard, wid int, cause error, bumpAttempt b
 			return
 		}
 	}
-	run.eng.Fleet.requeues.Add(1)
-	done, total := run.store.TotalCount(), run.total
-	run.eng.emit(Event{Type: EventShardRequeued, Campaign: run.id, Bench: sh.bench,
-		Shard: sh.shard, Worker: wid, Attempt: sh.attempt, Done: done, Total: total, Err: cause.Error()})
+	run.fleet.requeues.Add(1)
+	run.emitShard(EventShardRequeued, sh, wid, cause.Error())
+	// Every benchmark's shards are queued up front: a retry goes first,
+	// while sessions still hold its benchmark's prepared run.
 	run.mu.Lock()
-	run.queue = append(run.queue, sh)
+	run.queue = append([]*fleetShard{sh}, run.queue...)
 	run.mu.Unlock()
+}
+
+// dropStored filters out of a shard the indices the store already holds
+// and returns how many remain.
+func (run *fleetRun) dropStored(sh *fleetShard) int {
+	remaining := sh.indices[:0]
+	for _, i := range sh.indices {
+		if !run.store.Has(sh.bench, i) {
+			remaining = append(remaining, i)
+		}
+	}
+	sh.indices = remaining
+	return len(remaining)
+}
+
+// kill severs one in-process session. Marking it killed first, under the
+// lock the ingest goroutine takes to settle a lease, means a ShardDone the
+// session queued before the kill no longer counts; the connection loss
+// then requeues its lease.
+func (run *fleetRun) kill(wid int) error {
+	run.mu.Lock()
+	conn, ok := run.local[wid]
+	if ok {
+		run.killed[wid] = true
+	}
+	run.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("server: no worker %d", wid)
+	}
+	return conn.Close()
 }
 
 // enqueueBench adds one benchmark's shards to the queue.
@@ -665,15 +727,35 @@ func (run *fleetRun) finish() {
 	run.mu.Unlock()
 }
 
+// stop tears the run down. Lingering sessions of a cancelled or failed run
+// flip to refusal so their workers redial (and find the campaign when it
+// resumes) instead of polling a dead run forever; a finished run keeps
+// answering Done. It returns once the ingest goroutine has exited: after
+// Run returns, the caller may close (and on resume, reopen) the store, so
+// no ingest write may still be in flight.
+func (run *fleetRun) stop() {
+	run.fleet.unregister(run.id)
+	run.mu.Lock()
+	run.stopped = true
+	run.mu.Unlock()
+	close(run.done)
+	<-run.ingestDone
+}
+
 // ingestLoop is the campaign's single ingest goroutine: it folds batches
 // into the store (group-committed, frames appended verbatim), does all
 // lease accounting, and settles or requeues shards. One consumer means
-// per-connection FIFO order is preserved end to end.
-func (run *fleetRun) ingestLoop() {
+// per-connection FIFO order is preserved end to end. A cancelled run
+// folds nothing more: batches acked but still queued when ctx died are
+// left for the resumed run to re-lease.
+func (run *fleetRun) ingestLoop(ctx context.Context) {
 	defer close(run.ingestDone)
 	for {
 		select {
 		case item := <-run.ingest:
+			if ctx.Err() != nil {
+				return
+			}
 			run.process(item)
 		case <-run.done:
 			return
@@ -734,7 +816,7 @@ func (run *fleetRun) process(item ingestItem) {
 		}
 		delete(run.leases, item.lease)
 		run.mu.Unlock()
-		run.requeue(l.shard, l.wid, errors.New("lease expired"), false)
+		run.requeue(l.shard, l.wid, errors.New("lease expired"), true)
 	case itemConnLost:
 		run.mu.Lock()
 		var lost []*fleetLease
@@ -746,21 +828,20 @@ func (run *fleetRun) process(item ingestItem) {
 		}
 		run.mu.Unlock()
 		for _, l := range lost {
-			done, total := run.store.TotalCount(), run.total
-			run.eng.emit(Event{Type: EventWorkerDead, Campaign: run.id, Bench: l.shard.bench,
-				Shard: l.shard.shard, Worker: item.wid, Done: done, Total: total,
-				Err: "worker disconnected"})
+			run.emitShard(EventWorkerDead, l.shard, item.wid, "worker disconnected")
 			run.requeue(l.shard, item.wid, errors.New("worker disconnected"), false)
 		}
 	}
 }
 
-// takeLease removes and returns a lease if it is still owned by wid.
+// takeLease removes and returns a lease if it is still owned by wid and
+// wid was not killed; a killed session's leases wait for its connection
+// loss to requeue them.
 func (run *fleetRun) takeLease(id uint64, wid int) *fleetLease {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	l := run.leases[id]
-	if l == nil || l.wid != wid {
+	if l == nil || l.wid != wid || run.killed[wid] {
 		return nil
 	}
 	delete(run.leases, id)
@@ -845,97 +926,5 @@ func (run *fleetRun) processDone(item ingestItem) {
 		run.requeue(l.shard, item.wid, fmt.Errorf("lease %d: worker tally diverges from coordinator fold", l.id), true)
 		return
 	}
-	run.settle(l.shard, item.wid)
-}
-
-// runFleet executes the campaign over the remote worker fleet: shards are
-// leased to connected xentry-worker processes and their batched results
-// ingested off the HTTP/JSON path. The coordinator never executes an
-// injection itself — it derives each benchmark's plan list (PreparePlans,
-// no checkpoint pool) only to compute the activation-sorted shard split.
-func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
-	if len(e.Spec) == 0 {
-		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
-	}
-	shardSize := e.ShardSize
-	if shardSize <= 0 {
-		shardSize = 64
-	}
-	maxAttempts := e.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	leaseTimeout := e.ShardTimeout
-	if leaseTimeout <= 0 {
-		leaseTimeout = 2 * time.Minute
-	}
-	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
-	id := e.Store.Meta().CampaignID
-
-	run := newFleetRun(e, cfg, leaseTimeout, maxAttempts)
-	if err := e.Fleet.register(run); err != nil {
-		return nil, err
-	}
-	defer func() {
-		e.Fleet.unregister(run.id)
-		// Flip lingering sessions of a cancelled/failed run to refusal so
-		// their workers redial (and find the campaign when it resumes)
-		// instead of polling a dead run forever. A finished run keeps
-		// answering Done.
-		run.mu.Lock()
-		run.stopped = true
-		run.mu.Unlock()
-		close(run.done)
-		// Wait for the ingest goroutine: once runFleet returns, the caller
-		// may close (and on resume, reopen) the store, so no ingest write
-		// may still be in flight.
-		<-run.ingestDone
-	}()
-	go run.ingestLoop()
-	go run.reap()
-	// Wake the coordinator's wait when the run context dies.
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Hold run.mu so the Broadcast can't land between wait()'s
-			// ctx.Err() check and its cond.Wait(), which would lose the
-			// wakeup and leave runFleet parked on a dead context.
-			run.mu.Lock()
-			run.cond.Broadcast()
-			run.mu.Unlock()
-		case <-run.done:
-		}
-	}()
-
-	progress := func() int { return e.Store.TotalCount() }
-	for bi, bench := range cfg.Benchmarks {
-		if e.Store.Count(bench) >= cfg.InjectionsPerBenchmark {
-			continue // fully stored: skip even the golden run
-		}
-		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: progress(), Total: total})
-		plans, err := inject.PreparePlans(cfg, bi)
-		if err != nil {
-			return nil, err
-		}
-		order := inject.ActivationOrder(plans)
-		todo := order[:0]
-		for _, i := range order {
-			if !e.Store.Has(bench, i) {
-				todo = append(todo, i)
-			}
-		}
-		run.enqueueBench(bi, bench, inject.SliceShards(todo, shardSize))
-		if err := run.wait(ctx); err != nil {
-			e.emit(Event{Type: EventCampaignFailed, Campaign: id, Bench: bench,
-				Done: progress(), Total: total, Err: err.Error()})
-			return nil, err
-		}
-	}
-	run.finish()
-	res, err := e.Store.Result()
-	if err != nil {
-		return nil, err
-	}
-	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: progress(), Total: total})
-	return res, nil
+	run.settle(item.wid, l.shard)
 }

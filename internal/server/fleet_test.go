@@ -342,11 +342,11 @@ func TestFleetHostileRecordsCount(t *testing.T) {
 	}
 	defer f.Close()
 	e := &Engine{Store: testStore(t, cfg, "fleet-hostile"), Fleet: f, Spec: []byte("{}")}
-	run := newFleetRun(e, cfg, time.Minute, 3)
+	run := newFleetRun(e, f, cfg, time.Minute, 3)
 	if err := f.register(run); err != nil {
 		t.Fatal(err)
 	}
-	go run.ingestLoop()
+	go run.ingestLoop(context.Background())
 	defer func() {
 		f.unregister(run.id)
 		run.mu.Lock()
@@ -569,11 +569,11 @@ func BenchmarkFleetIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := &Engine{Store: st, Fleet: f, Spec: []byte("{}")}
-		run := newFleetRun(e, cfg, time.Minute, 3)
+		run := newFleetRun(e, f, cfg, time.Minute, 3)
 		if err := f.register(run); err != nil {
 			b.Fatal(err)
 		}
-		go run.ingestLoop()
+		go run.ingestLoop(context.Background())
 		go run.reap()
 		run.enqueueBench(0, bench, shards)
 

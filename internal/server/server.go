@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"xentry/internal/experiments"
 	"xentry/internal/hv"
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/recovery"
 	"xentry/internal/store"
 	"xentry/internal/workload"
@@ -45,8 +47,8 @@ type CampaignSpec struct {
 	// TrainInjections > 0 trains the VM-transition model first (same
 	// deterministic training a local run performs); 0 runs without one.
 	TrainInjections int `json:"train_injections,omitempty"`
-	// ShardSize and PoolWorkers override the server's defaults for this
-	// campaign.
+	// ShardSize and PoolWorkers (the number of in-process worker
+	// sessions) override the server's defaults for this campaign.
 	ShardSize   int `json:"shard_size,omitempty"`
 	PoolWorkers int `json:"pool_workers,omitempty"`
 	// Detectors names plugin detector factories (detect.RegisterFactory)
@@ -62,11 +64,12 @@ type CampaignSpec struct {
 	// ("off"/"none"/"" = no engine, "microreboot", "restore", "policy").
 	// An unknown name is a 400. Mutually exclusive with Recover.
 	Recovery string `json:"recovery,omitempty"`
-	// Execution picks the data plane: "" or "pool" runs the in-process
-	// worker pool, "fleet" leases shards to remote xentry-worker processes
-	// over the binary shard protocol (requires a server started with a
-	// fleet listener). Anything else is a 400. The JSON API stays the
-	// control plane either way.
+	// Execution picks where shards run: "" or "pool" leases them to
+	// in-process worker sessions, "fleet" to remote xentry-worker
+	// processes (requires a server started with a fleet listener). Both
+	// speak the binary shard protocol to the same lease scheduler.
+	// Anything else is a 400. The JSON API stays the control plane either
+	// way.
 	Execution string `json:"execution,omitempty"`
 	// VCPUs is the number of logical CPUs per simulated machine (0 or 1 =
 	// the seed's single-CPU machine; out-of-range values are a 400).
@@ -117,6 +120,26 @@ func (sp CampaignSpec) campaignConfig() (inject.CampaignConfig, error) {
 	}, nil
 }
 
+// model trains the VM-transition model the spec asks for — the same
+// deterministic training a local run performs — or returns nil when
+// TrainInjections is 0. The coordinator and every remote worker derive
+// their model here, so all of them hold bit-identical trees.
+func (sp CampaignSpec) model() (*ml.Tree, error) {
+	if sp.TrainInjections <= 0 {
+		return nil, nil
+	}
+	sc := experiments.DefaultScale()
+	sc.Seed = sp.Seed
+	sc.Activations = sp.Activations
+	sc.TrainInjections = sp.TrainInjections
+	sc.TestInjections = sp.TrainInjections / 2
+	train, err := experiments.Train(sc)
+	if err != nil {
+		return nil, fmt.Errorf("server: training: %w", err)
+	}
+	return train.Best(), nil
+}
+
 // CampaignStatus is the JSON body of GET /campaigns/{id}.
 type CampaignStatus struct {
 	ID    string `json:"id"`
@@ -142,7 +165,6 @@ type Config struct {
 	Workers      int
 	ShardSize    int
 	MaxAttempts  int
-	Backoff      time.Duration
 	ShardTimeout time.Duration
 	// Fleet, when set, lets campaigns with Execution "fleet" run over the
 	// remote worker data plane. The server does not own the fleet; the
@@ -175,30 +197,29 @@ type Server struct {
 	prunedDead      atomic.Int64
 	prunedConverged atomic.Int64
 
-	// pruned breaks the same counts down by (reason, fault-site class),
+	// Labelled counter families, each keyed by its label values (the
+	// second one empty for single-label families) and guarded by its own
+	// mutex; see bump and writeFamily.
+	//
+	// pruned breaks the pruned counts down by (reason, fault-site class),
 	// exposed as xentry_pruned_total{reason="...",site="..."} next to the
-	// aggregate lines (kept for dashboard compatibility); guarded by
-	// prunedMu like detections.
+	// aggregate lines (kept for dashboard compatibility).
 	prunedMu sync.Mutex
 	pruned   map[[2]string]int64
-
 	// detections counts detected outcomes per technique name (from
 	// Event.Technique, so plugin techniques appear without server
-	// changes); guarded by detectionsMu, exposed as
-	// xentry_detections_total{technique="..."}.
+	// changes), exposed as xentry_detections_total{technique="..."}.
 	detectionsMu sync.Mutex
-	detections   map[string]int64
-
+	detections   map[[2]string]int64
 	// recoveries counts recovery-engine attempts by (strategy, outcome
 	// class), exposed as xentry_recoveries_total{strategy="...",
-	// outcome="..."}; guarded by recoveriesMu like detections.
+	// outcome="..."}.
 	recoveriesMu sync.Mutex
 	recoveries   map[[2]string]int64
-
 	// sites counts recorded outcomes per fault-site class name, exposed
-	// as xentry_injections_total{site="..."}; guarded like detections.
+	// as xentry_injections_total{site="..."}.
 	sitesMu sync.Mutex
-	sites   map[string]int64
+	sites   map[[2]string]int64
 }
 
 // campaign is one registered campaign's runtime state.
@@ -213,6 +234,7 @@ type campaign struct {
 	mu       sync.Mutex
 	state    string
 	errMsg   string
+	terminal *Event // the engine's campaign_done/failed event, held back
 	report   *experiments.CampaignReport
 	started  time.Time
 	finished time.Time
@@ -399,33 +421,39 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 		Workers:      workers,
 		ShardSize:    shardSize,
 		MaxAttempts:  s.cfg.MaxAttempts,
-		Backoff:      s.cfg.Backoff,
 		ShardTimeout: s.cfg.ShardTimeout,
 		OnEvent: func(ev Event) {
 			switch ev.Type {
 			case EventOutcome:
 				s.outcomesRecorded.Add(1)
 				if ev.Technique != "" {
-					s.countDetection(ev.Technique)
+					bump(&s.detectionsMu, &s.detections, ev.Technique, "")
 				}
 				if ev.Site != "" {
-					s.countSite(ev.Site)
+					bump(&s.sitesMu, &s.sites, ev.Site, "")
 				}
 				switch ev.Pruned {
 				case "dead":
 					s.prunedDead.Add(1)
-					s.countPruned(ev.Pruned, ev.Site)
+					bump(&s.prunedMu, &s.pruned, ev.Pruned, ev.Site)
 				case "converged":
 					s.prunedConverged.Add(1)
-					s.countPruned(ev.Pruned, ev.Site)
+					bump(&s.prunedMu, &s.pruned, ev.Pruned, ev.Site)
 				}
 				if ev.RecoveryStrategy != "" {
-					s.countRecovery(ev.RecoveryStrategy, ev.RecoveryOutcome)
+					bump(&s.recoveriesMu, &s.recoveries, ev.RecoveryStrategy, ev.RecoveryOutcome)
 				}
 			case EventShardRequeued:
 				s.shardRetries.Add(1)
 			case EventWorkerDead:
 				s.workerDeaths.Add(1)
+			case EventCampaignDone, EventCampaignFailed:
+				// runCampaign publishes it once the state is settled, so a
+				// client that sees it can fetch the result.
+				c.mu.Lock()
+				c.terminal = &ev
+				c.mu.Unlock()
+				return
 			}
 			c.events.publish(ev)
 		},
@@ -455,18 +483,12 @@ func (s *Server) runCampaign(c *campaign) {
 		}
 		// In fleet mode the coordinator never executes an injection and the
 		// plan lists are model-independent, so training happens only on the
-		// workers (each derives the identical model from the spec).
-		if c.spec.TrainInjections > 0 && c.engine.Fleet == nil {
-			sc := experiments.DefaultScale()
-			sc.Seed = c.spec.Seed
-			sc.Activations = c.spec.Activations
-			sc.TrainInjections = c.spec.TrainInjections
-			sc.TestInjections = c.spec.TrainInjections / 2
-			train, err := experiments.Train(sc)
-			if err != nil {
-				return nil, fmt.Errorf("server: training: %w", err)
+		// workers (each derives the identical model from the spec). The
+		// engine's in-process sessions share this one trained model.
+		if c.engine.Fleet == nil {
+			if cfg.Model, err = c.spec.model(); err != nil {
+				return nil, err
 			}
-			cfg.Model = train.Best()
 		}
 		return c.engine.Run(s.ctx, cfg)
 	}()
@@ -480,8 +502,12 @@ func (s *Server) runCampaign(c *campaign) {
 		c.report = experiments.NewCampaignReport(res, c.spec.Benchmarks)
 		s.campaignsDone.Add(1)
 	}
+	terminal := c.terminal
 	c.mu.Unlock()
 	c.store.Close()
+	if terminal != nil {
+		c.events.publish(*terminal)
+	}
 	c.events.close()
 }
 
@@ -643,43 +669,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// countDetection bumps the per-technique detection counter. Technique
-// names are registry strings, so detectors registered outside
-// internal/core surface here with no server changes.
-func (s *Server) countDetection(technique string) {
-	s.detectionsMu.Lock()
-	if s.detections == nil {
-		s.detections = map[string]int64{}
+// bump increments one counter of a labelled family guarded by mu.
+func bump(mu *sync.Mutex, m *map[[2]string]int64, label0, label1 string) {
+	mu.Lock()
+	if *m == nil {
+		*m = map[[2]string]int64{}
 	}
-	s.detections[technique]++
-	s.detectionsMu.Unlock()
+	(*m)[[2]string{label0, label1}]++
+	mu.Unlock()
 }
 
-func (s *Server) countSite(site string) {
-	s.sitesMu.Lock()
-	if s.sites == nil {
-		s.sites = map[string]int64{}
+// writeFamily prints a labelled counter family in label order. format
+// receives the two labels and the count; single-label families name
+// their arguments explicitly (%[1]q ... %[3]d).
+func writeFamily(w io.Writer, mu *sync.Mutex, m *map[[2]string]int64, format string) {
+	mu.Lock()
+	defer mu.Unlock()
+	keys := make([][2]string, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
 	}
-	s.sites[site]++
-	s.sitesMu.Unlock()
-}
-
-func (s *Server) countPruned(reason, site string) {
-	s.prunedMu.Lock()
-	if s.pruned == nil {
-		s.pruned = map[[2]string]int64{}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		fmt.Fprintf(w, format, k[0], k[1], (*m)[k])
 	}
-	s.pruned[[2]string{reason, site}]++
-	s.prunedMu.Unlock()
-}
-
-func (s *Server) countRecovery(strategy, outcome string) {
-	s.recoveriesMu.Lock()
-	if s.recoveries == nil {
-		s.recoveries = map[[2]string]int64{}
-	}
-	s.recoveries[[2]string{strategy, outcome}]++
-	s.recoveriesMu.Unlock()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -705,21 +723,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "xentry_wal_records_dropped_total %d\n", dropped)
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"dead\"} %d\n", s.prunedDead.Load())
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"converged\"} %d\n", s.prunedConverged.Load())
-	s.prunedMu.Lock()
-	pruneKeys := make([][2]string, 0, len(s.pruned))
-	for k := range s.pruned {
-		pruneKeys = append(pruneKeys, k)
-	}
-	sort.Slice(pruneKeys, func(i, j int) bool {
-		if pruneKeys[i][0] != pruneKeys[j][0] {
-			return pruneKeys[i][0] < pruneKeys[j][0]
-		}
-		return pruneKeys[i][1] < pruneKeys[j][1]
-	})
-	for _, k := range pruneKeys {
-		fmt.Fprintf(w, "xentry_pruned_total{reason=%q,site=%q} %d\n", k[0], k[1], s.pruned[k])
-	}
-	s.prunedMu.Unlock()
+	writeFamily(w, &s.prunedMu, &s.pruned, "xentry_pruned_total{reason=%q,site=%q} %d\n")
 	if s.cfg.Fleet != nil {
 		fs := s.cfg.Fleet.Stats()
 		fmt.Fprintf(w, "xentry_fleet_workers %d\n", fs.Workers)
@@ -730,42 +734,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "xentry_fleet_leases_total %d\n", fs.Leases)
 		fmt.Fprintf(w, "xentry_fleet_requeues_total %d\n", fs.Requeues)
 	}
-	s.sitesMu.Lock()
-	siteNames := make([]string, 0, len(s.sites))
-	for name := range s.sites {
-		siteNames = append(siteNames, name)
-	}
-	sort.Strings(siteNames)
-	for _, name := range siteNames {
-		fmt.Fprintf(w, "xentry_injections_total{site=%q} %d\n", name, s.sites[name])
-	}
-	s.sitesMu.Unlock()
-	s.detectionsMu.Lock()
-	techniques := make([]string, 0, len(s.detections))
-	for name := range s.detections {
-		techniques = append(techniques, name)
-	}
-	sort.Strings(techniques)
-	for _, name := range techniques {
-		fmt.Fprintf(w, "xentry_detections_total{technique=%q} %d\n", name, s.detections[name])
-	}
-	s.detectionsMu.Unlock()
-	s.recoveriesMu.Lock()
-	recKeys := make([][2]string, 0, len(s.recoveries))
-	for k := range s.recoveries {
-		recKeys = append(recKeys, k)
-	}
-	sort.Slice(recKeys, func(i, j int) bool {
-		if recKeys[i][0] != recKeys[j][0] {
-			return recKeys[i][0] < recKeys[j][0]
-		}
-		return recKeys[i][1] < recKeys[j][1]
-	})
-	for _, k := range recKeys {
-		fmt.Fprintf(w, "xentry_recoveries_total{strategy=%q,outcome=%q} %d\n",
-			k[0], k[1], s.recoveries[k])
-	}
-	s.recoveriesMu.Unlock()
+	writeFamily(w, &s.sitesMu, &s.sites, "xentry_injections_total{site=%[1]q} %[3]d\n")
+	writeFamily(w, &s.detectionsMu, &s.detections, "xentry_detections_total{technique=%[1]q} %[3]d\n")
+	writeFamily(w, &s.recoveriesMu, &s.recoveries, "xentry_recoveries_total{strategy=%q,outcome=%q} %d\n")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

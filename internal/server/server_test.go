@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"xentry/internal/inject"
 )
@@ -18,7 +17,6 @@ func testServer(t *testing.T) (*Server, *Client) {
 		DataDir:   t.TempDir(),
 		Workers:   2,
 		ShardSize: 6,
-		Backoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

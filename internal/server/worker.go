@@ -8,20 +8,20 @@ import (
 	"net"
 	"time"
 
-	"xentry/internal/experiments"
 	"xentry/internal/inject"
 	"xentry/internal/wire"
 )
 
 // This file is the worker side of the fleet data plane, shared by
-// cmd/xentry-worker and the multi-process tests. A worker is a loop:
-// dial the coordinator, Hello, derive the exact CampaignConfig from the
-// Welcome spec (including deterministic model training, so every worker
-// and an in-process reference run hold identical models), then lease
-// shards and execute them, streaming outcomes back in size/time-flushed
-// batches of WAL-ready record frames. Everything is deterministic given
-// the spec, which is what makes the coordinator's tally cross-check and
-// the differential tests possible.
+// cmd/xentry-worker, the engine's in-process sessions, and the
+// multi-process tests. A worker is a loop: dial the coordinator, Hello,
+// derive the exact CampaignConfig from the Welcome spec (including
+// deterministic model training, so every worker and an in-process
+// reference run hold identical models), then lease shards and execute
+// them, streaming outcomes back in size/time-flushed batches of WAL-ready
+// record frames. Everything is deterministic given the spec, which is
+// what makes the coordinator's tally cross-check and the differential
+// tests possible.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
@@ -111,6 +111,9 @@ type workerState struct {
 	opts    *WorkerOptions
 	specRaw []byte
 	cfg     inject.CampaignConfig
+	// local marks an in-process session: cfg is the coordinator's own
+	// config, model included, and the Welcome spec is not re-derived.
+	local bool
 
 	benchAt int
 	br      *inject.BenchmarkRun
@@ -122,7 +125,7 @@ type workerState struct {
 // coordinator's runCampaign uses, so every worker reproduces the exact
 // plans and model of an in-process run.
 func (st *workerState) configure(spec []byte) error {
-	if bytes.Equal(spec, st.specRaw) {
+	if st.local || bytes.Equal(spec, st.specRaw) {
 		return nil
 	}
 	var sp CampaignSpec
@@ -135,17 +138,10 @@ func (st *workerState) configure(spec []byte) error {
 		return err
 	}
 	if sp.TrainInjections > 0 {
-		sc := experiments.DefaultScale()
-		sc.Seed = sp.Seed
-		sc.Activations = sp.Activations
-		sc.TrainInjections = sp.TrainInjections
-		sc.TestInjections = sp.TrainInjections / 2
 		st.opts.Logf("worker: training transition model (%d injections)", sp.TrainInjections)
-		train, err := experiments.Train(sc)
-		if err != nil {
-			return fmt.Errorf("worker: training: %w", err)
-		}
-		cfg.Model = train.Best()
+	}
+	if cfg.Model, err = sp.model(); err != nil {
+		return err
 	}
 	st.specRaw = append([]byte(nil), spec...)
 	st.cfg = cfg.Normalized()
@@ -165,6 +161,9 @@ func (st *workerState) benchRun(at int, bench string) (*inject.BenchmarkRun, *in
 		return st.br, st.worker, nil
 	}
 	st.opts.Logf("worker: preparing benchmark %s", bench)
+	// Release the previous benchmark first, so its checkpoint pool is
+	// collectable while the next one is built.
+	st.benchAt, st.br, st.worker = -1, nil, nil
 	br, err := inject.PrepareBenchmark(st.cfg, at)
 	if err != nil {
 		return nil, nil, err
@@ -173,15 +172,20 @@ func (st *workerState) benchRun(at int, bench string) (*inject.BenchmarkRun, *in
 	return br, st.worker, nil
 }
 
-// runSession runs one connection's lifetime. It returns nil exactly when
-// the coordinator said Done (campaign complete); every other exit is an
-// error worth a redial.
+// runSession dials the coordinator and runs one connection's lifetime.
 func (st *workerState) runSession(ctx context.Context) error {
 	d := net.Dialer{Timeout: 10 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", st.opts.Coordinator)
 	if err != nil {
 		return err
 	}
+	return st.session(ctx, conn)
+}
+
+// session runs the protocol over one connection and closes it. It returns
+// nil exactly when the coordinator said Done (campaign complete); every
+// other exit is an error worth a redial.
+func (st *workerState) session(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	// Context cancellation severs the connection, unblocking any read.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -216,7 +220,12 @@ func (st *workerState) runSession(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if m.Type != wire.MsgWelcome {
+	switch m.Type {
+	case wire.MsgDone:
+		st.opts.Logf("worker: campaign %s complete", st.opts.Campaign)
+		return nil
+	case wire.MsgWelcome:
+	default:
 		return fmt.Errorf("worker: expected welcome, got message type %d", m.Type)
 	}
 	if m.Welcome.Version != wire.ProtoVersion {

@@ -3,8 +3,10 @@
 # across three real xentry-worker processes, kill one of them mid-flight
 # (its lease requeues to the survivors), and require the fleet campaign's
 # final report to be byte-identical to the same campaign executed on the
-# coordinator's in-process pool. This is the end-to-end proof that the
-# binary data plane changes where injections run, never what they produce.
+# coordinator's in-process worker sessions ("execution": "pool"). This is
+# the end-to-end proof that where injections run — remote processes over
+# TCP or in-process sessions over a pipe — never changes what they
+# produce; the Go differentials hold both against inject.RunCampaign.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -81,7 +83,8 @@ echo "fleet-smoke: killed worker w1 at done=$(done_of smoke)"
 await smoke
 curl -fsS "http://$api/campaigns/smoke/result" >"$bin/fleet-report.json"
 
-# Reference: the identical campaign on the in-process pool.
+# Reference: the identical campaign on the coordinator's in-process
+# worker sessions.
 poolspec='{"id":"smoke-pool","benchmarks":["canneal"],"injections_per_benchmark":3000,"activations":48,"seed":29,"recovery":"microreboot"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$poolspec" "http://$api/campaigns" >/dev/null
 await smoke-pool

@@ -4,8 +4,8 @@
 # cannot rot), and race-detector passes over the packages with real
 # concurrency (the campaign engine's workers share the read-only
 # checkpoint pool and the linked text segment; the coordinator's worker
-# pool and the result store take concurrent records; the CPU core is what
-# every worker runs; the memory package's lazy checkpoint page-hash
+# sessions and the result store take concurrent records; the CPU core is
+# what every worker runs; the memory package's lazy checkpoint page-hash
 # tables are published under sync.Once to concurrent folders).
 set -eux
 
@@ -38,6 +38,10 @@ go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
 go test -run FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
+# Session-kill burst: whether a killed session's queued ShardDone reaches
+# the ingest goroutine before or after the kill depends on timing, so one
+# race pass cannot be trusted to find an ordering bug there.
+go test -race -count=20 -run 'TestEngineKillWorkerBitIdentical' ./internal/server/
 # Recovery differential pass: recover=off campaigns must stay
 # bit-identical to the engine-less baseline, microreboot campaigns must
 # be deterministic (including under the race detector's schedule
