@@ -19,6 +19,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"maps"
 	"net"
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/store"
 )
 
@@ -111,9 +114,11 @@ type Engine struct {
 	Fleet *Fleet
 	// Spec is the canonical campaign spec JSON served to fleet workers in
 	// the Welcome message; each worker derives its CampaignConfig (plans,
-	// detectors, trained model) from it. Required in fleet mode, and it
-	// must describe exactly the config passed to Run. In-process sessions
-	// use the config passed to Run directly.
+	// detectors) from it. The transition model is not derived: the
+	// Welcome ships the canonical bytes of the config's Model, which the
+	// coordinator trained once. Required in fleet mode, and it must
+	// describe exactly the config passed to Run. In-process sessions use
+	// the config passed to Run directly.
 	Spec []byte
 
 	mu  sync.Mutex
@@ -144,11 +149,14 @@ func (e *Engine) KillWorker(id int) error {
 
 // Run executes the campaign to completion — every plan index the store
 // does not already hold — and returns the normalized aggregates from the
-// store. The coordinator derives each benchmark's plan list (PreparePlans,
-// no checkpoint pool) only to compute the activation-sorted shard split,
-// and enqueues every benchmark's shards as soon as they are known. The
-// context cancels the whole run; a cancelled run resumes later from
-// whatever the store persisted.
+// store. It first pins the hash of cfg.Model in the store: a store whose
+// outcomes came from a different model fails the run with
+// store.ErrModelMismatch before any shard is leased. The coordinator
+// derives each benchmark's plan list (PreparePlans, no checkpoint pool)
+// only to compute the activation-sorted shard split, and enqueues every
+// benchmark's shards as soon as they are known. The context cancels the
+// whole run; a cancelled run resumes later from whatever the store
+// persisted.
 func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("server: engine needs a store")
@@ -160,6 +168,13 @@ func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.Ca
 		defer f.Close()
 	} else if len(e.Spec) == 0 {
 		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
+	}
+	model, modelSHA, err := encodeModel(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Store.PinModel(modelSHA); err != nil {
+		return nil, err
 	}
 	shardSize := e.ShardSize
 	if shardSize <= 0 {
@@ -177,6 +192,7 @@ func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.Ca
 	id := e.Store.Meta().CampaignID
 
 	run := newFleetRun(e, f, cfg, leaseTimeout, maxAttempts)
+	run.model = model
 	if err := f.register(run); err != nil {
 		return nil, err
 	}
@@ -258,6 +274,20 @@ func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.Ca
 	}
 	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: progress(), Total: total})
 	return res, nil
+}
+
+// encodeModel returns a transition model's canonical bytes and their hex
+// SHA-256; a campaign without a model has neither.
+func encodeModel(t *ml.Tree) ([]byte, string, error) {
+	if t == nil {
+		return nil, "", nil
+	}
+	b, err := t.AppendBinary(nil)
+	if err != nil {
+		return nil, "", fmt.Errorf("server: transition model: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return b, hex.EncodeToString(sum[:]), nil
 }
 
 // connectLocal opens n in-process session transports: net.Pipes whose

@@ -257,7 +257,7 @@ func (f *Fleet) serveConn(conn net.Conn, wid int) {
 		refuse(conn, "fleet: unknown campaign %q", msg.Hello.Campaign)
 		return
 	}
-	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.eng.Spec})); err != nil {
+	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.eng.Spec, Model: run.model})); err != nil {
 		return
 	}
 
@@ -480,6 +480,9 @@ type fleetRun struct {
 	injections   int
 	maxAttempts  int
 	leaseTimeout time.Duration
+	// model is the canonical encoding of the campaign's transition model
+	// (empty without one), encoded once and served in every Welcome.
+	model []byte
 
 	ingest     chan ingestItem
 	done       chan struct{}

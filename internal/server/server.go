@@ -3,13 +3,16 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,7 +32,10 @@ import (
 // CampaignSpec is the JSON body of POST /campaigns: everything needed to
 // reproduce the campaign deterministically. Submitting the same spec (same
 // ID included) against a data directory that already holds part of the
-// campaign resumes it — stored plan indices are never re-executed.
+// campaign resumes it — stored plan indices are never re-executed. A
+// resubmission may change where and how shards run (execution,
+// shard_size, pool_workers, checkpoint_every); changing anything that
+// moves plans or outcomes is a 409.
 type CampaignSpec struct {
 	// ID names the campaign (and its store directory). Optional: the
 	// server generates one. Client-chosen IDs make resume-after-restart
@@ -44,8 +50,9 @@ type CampaignSpec struct {
 	// K (0 = default, negative disables).
 	CheckpointEvery int  `json:"checkpoint_every,omitempty"`
 	Recover         bool `json:"recover,omitempty"`
-	// TrainInjections > 0 trains the VM-transition model first (same
-	// deterministic training a local run performs); 0 runs without one.
+	// TrainInjections > 0 has the coordinator train the VM-transition
+	// model first (same deterministic training a local run performs), once
+	// per campaign run; 0 runs without one.
 	TrainInjections int `json:"train_injections,omitempty"`
 	// ShardSize and PoolWorkers (the number of in-process worker
 	// sessions) override the server's defaults for this campaign.
@@ -120,10 +127,58 @@ func (sp CampaignSpec) campaignConfig() (inject.CampaignConfig, error) {
 	}, nil
 }
 
+// outcomeKey is the part of a spec that fixes a campaign's plans and
+// outcomes, with equivalent spellings of each default made equal. It
+// leaves out where and how shards run (execution, shard_size,
+// pool_workers) and the checkpoint interval, which results are
+// bit-identical across.
+func (sp CampaignSpec) outcomeKey() CampaignSpec {
+	sp = sp.withDefaults()
+	sp.Execution, sp.ShardSize, sp.PoolWorkers, sp.CheckpointEvery = "", 0, 0, 0
+	if sp.Prune == "on" {
+		sp.Prune = ""
+	}
+	switch sp.Recovery {
+	case "off", "none":
+		sp.Recovery = ""
+	}
+	if sp.VCPUs == 1 {
+		sp.VCPUs = 0
+	}
+	if sp.TrainInjections < 0 {
+		sp.TrainInjections = 0
+	}
+	sp.Targets = inject.NormalizeTargets(sp.Targets)
+	return sp
+}
+
+// errSpecConflict marks a resubmission whose spec would change the plans
+// or outcomes of the campaign already stored under its ID.
+var errSpecConflict = errors.New("spec conflicts with the stored campaign")
+
+// checkResume refuses to resume a stored campaign (its meta's Extra
+// holds the spec it was submitted with) under a spec whose outcomeKey
+// differs. A store without a readable spec is left to store.Open's own
+// identity check.
+func (sp CampaignSpec) checkResume(storedSpec json.RawMessage) error {
+	var stored CampaignSpec
+	if len(storedSpec) == 0 || json.Unmarshal(storedSpec, &stored) != nil {
+		return nil
+	}
+	have, want := stored.outcomeKey(), sp.outcomeKey()
+	if !reflect.DeepEqual(have, want) {
+		h, _ := json.Marshal(have)
+		w, _ := json.Marshal(want)
+		return fmt.Errorf("%w %s: stored %s, submitted %s", errSpecConflict, sp.ID, h, w)
+	}
+	return nil
+}
+
 // model trains the VM-transition model the spec asks for — the same
 // deterministic training a local run performs — or returns nil when
-// TrainInjections is 0. The coordinator and every remote worker derive
-// their model here, so all of them hold bit-identical trees.
+// TrainInjections is 0. Only the coordinator trains: in-process sessions
+// share its config, fleet workers receive the model's canonical bytes in
+// Welcome, and the store pins their hash.
 func (sp CampaignSpec) model() (*ml.Tree, error) {
 	if sp.TrainInjections <= 0 {
 		return nil, nil
@@ -154,7 +209,30 @@ type CampaignStatus struct {
 	StartedAt      time.Time `json:"started_at"`
 	ElapsedSeconds float64   `json:"elapsed_seconds"`
 	RatePerSecond  float64   `json:"rate_per_second"`
+	// ModelSHA256 is the hex SHA-256 of the transition model's canonical
+	// encoding, as pinned in the campaign store (empty for a campaign
+	// without a model, or before a running campaign has trained it).
+	ModelSHA256 string `json:"model_sha256,omitempty"`
+	// Build identifies the serving binary (see buildInfo).
+	Build string `json:"build,omitempty"`
 }
+
+// buildInfo describes the running binary: the main module version, plus
+// the VCS revision and dirty flag when the build recorded them.
+var buildInfo = sync.OnceValue(func() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	b := bi.Main.Version
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision", "vcs.modified":
+			b += " " + s.Key + "=" + s.Value
+		}
+	}
+	return b
+})
 
 // Config tunes the campaign server.
 type Config struct {
@@ -372,6 +450,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	c, err := s.startCampaign(spec)
+	if errors.Is(err, errSpecConflict) {
+		httpError(w, http.StatusConflict, "%v", err)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -382,19 +464,27 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // startCampaign opens (or resumes) the store, registers the campaign, and
-// launches its run goroutine.
+// launches its run goroutine. Resuming under a spec that would change
+// plans or outcomes fails with errSpecConflict before the store opens.
 func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Open(filepath.Join(s.cfg.DataDir, spec.ID), store.Meta{
+	dir := filepath.Join(s.cfg.DataDir, spec.ID)
+	if stored, err := store.ReadMeta(dir); err == nil {
+		if err := spec.checkResume(stored.Extra); err != nil {
+			return nil, err
+		}
+	}
+	st, err := store.Open(dir, store.Meta{
 		CampaignID:  spec.ID,
 		Benchmarks:  spec.Benchmarks,
 		Injections:  spec.InjectionsPerBenchmark,
 		Activations: spec.Activations,
 		Seed:        spec.Seed,
 		Extra:       specJSON,
+		Build:       buildInfo(),
 	}, store.Options{})
 	if err != nil {
 		return nil, err
@@ -461,7 +551,7 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 	if spec.Execution == "fleet" {
 		// Fleet mode: the engine leases shards to remote workers; the spec
 		// JSON (also persisted in the store's meta) is what workers derive
-		// their config from.
+		// their plans from, and the coordinator's model ships beside it.
 		c.engine.Fleet = s.cfg.Fleet
 		c.engine.Spec = specJSON
 	}
@@ -481,14 +571,12 @@ func (s *Server) runCampaign(c *campaign) {
 		if err != nil {
 			return nil, err
 		}
-		// In fleet mode the coordinator never executes an injection and the
-		// plan lists are model-independent, so training happens only on the
-		// workers (each derives the identical model from the spec). The
-		// engine's in-process sessions share this one trained model.
-		if c.engine.Fleet == nil {
-			if cfg.Model, err = c.spec.model(); err != nil {
-				return nil, err
-			}
+		// The coordinator trains once per run, in every execution mode:
+		// in-process sessions share cfg, fleet workers receive the model's
+		// canonical bytes in Welcome, and Engine.Run pins its hash in the
+		// store before any shard is leased.
+		if cfg.Model, err = c.spec.model(); err != nil {
+			return nil, err
 		}
 		return c.engine.Run(s.ctx, cfg)
 	}()
@@ -532,6 +620,8 @@ func (c *campaign) status() CampaignStatus {
 		PerBenchmark: map[string]int{},
 		Dropped:      c.store.Dropped(),
 		StartedAt:    started,
+		ModelSHA256:  c.store.Meta().ModelSHA256,
+		Build:        buildInfo(),
 	}
 	for _, bench := range c.spec.Benchmarks {
 		st.PerBenchmark[bench] = c.store.Count(bench)

@@ -3,25 +3,27 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net"
 	"time"
 
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/wire"
 )
 
 // This file is the worker side of the fleet data plane, shared by
 // cmd/xentry-worker, the engine's in-process sessions, and the
 // multi-process tests. A worker is a loop: dial the coordinator, Hello,
-// derive the exact CampaignConfig from the Welcome spec (including
-// deterministic model training, so every worker and an in-process
-// reference run hold identical models), then lease shards and execute
-// them, streaming outcomes back in size/time-flushed batches of WAL-ready
-// record frames. Everything is deterministic given the spec, which is
-// what makes the coordinator's tally cross-check and the differential
-// tests possible.
+// derive the exact CampaignConfig from the Welcome spec and install the
+// transition model the coordinator trained once and shipped in the same
+// Welcome (a worker never trains), then lease shards and execute them,
+// streaming outcomes back in size/time-flushed batches of WAL-ready
+// record frames. Everything is deterministic given the spec and the
+// model bytes, which is what makes the coordinator's tally cross-check
+// and the differential tests possible.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
@@ -108,9 +110,12 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 // config and the prepared benchmark (checkpoint pool included), so a
 // redial does not repeat the expensive setup.
 type workerState struct {
-	opts    *WorkerOptions
-	specRaw []byte
-	cfg     inject.CampaignConfig
+	opts *WorkerOptions
+	// specRaw and modelSum key the cached cfg: the Welcome spec bytes
+	// and the SHA-256 of its model bytes.
+	specRaw  []byte
+	modelSum [sha256.Size]byte
+	cfg      inject.CampaignConfig
 	// local marks an in-process session: cfg is the coordinator's own
 	// config, model included, and the Welcome spec is not re-derived.
 	local bool
@@ -120,12 +125,17 @@ type workerState struct {
 	worker  *inject.Worker
 }
 
-// configure derives the campaign config from the Welcome spec: the same
-// withDefaults + campaignConfig + deterministic training path the
-// coordinator's runCampaign uses, so every worker reproduces the exact
-// plans and model of an in-process run.
-func (st *workerState) configure(spec []byte) error {
-	if st.local || bytes.Equal(spec, st.specRaw) {
+// configure derives the campaign config from a Welcome: the spec goes
+// through the same withDefaults + campaignConfig path the coordinator's
+// runCampaign uses, so every worker reproduces the exact plans of an
+// in-process run, and the model is the coordinator's own tree, decoded
+// from its canonical bytes (empty bytes: no model).
+func (st *workerState) configure(spec, model []byte) error {
+	if st.local {
+		return nil
+	}
+	modelSum := sha256.Sum256(model)
+	if st.specRaw != nil && bytes.Equal(spec, st.specRaw) && modelSum == st.modelSum {
 		return nil
 	}
 	var sp CampaignSpec
@@ -137,13 +147,13 @@ func (st *workerState) configure(spec []byte) error {
 	if err != nil {
 		return err
 	}
-	if sp.TrainInjections > 0 {
-		st.opts.Logf("worker: training transition model (%d injections)", sp.TrainInjections)
+	if len(model) > 0 {
+		if cfg.Model, err = ml.DecodeTree(model); err != nil {
+			return fmt.Errorf("worker: transition model: %w", err)
+		}
+		st.opts.Logf("worker: installed transition model %x (%d nodes)", modelSum[:6], cfg.Model.Size())
 	}
-	if cfg.Model, err = sp.model(); err != nil {
-		return err
-	}
-	st.specRaw = append([]byte(nil), spec...)
+	st.specRaw, st.modelSum = append([]byte(nil), spec...), modelSum
 	st.cfg = cfg.Normalized()
 	st.benchAt, st.br, st.worker = -1, nil, nil
 	return nil
@@ -231,7 +241,7 @@ func (st *workerState) session(ctx context.Context, conn net.Conn) error {
 	if m.Welcome.Version != wire.ProtoVersion {
 		return fmt.Errorf("worker: coordinator speaks protocol %d, want %d", m.Welcome.Version, wire.ProtoVersion)
 	}
-	if err := st.configure(m.Welcome.Spec); err != nil {
+	if err := st.configure(m.Welcome.Spec, m.Welcome.Model); err != nil {
 		return err
 	}
 

@@ -43,7 +43,20 @@ type Meta struct {
 	// Extra is an opaque caller blob (the server stores its campaign spec
 	// here so a restarted coordinator can rebuild the run).
 	Extra json.RawMessage `json:"extra,omitempty"`
+	// ModelSHA256 is the hex SHA-256 of the canonical encoding of the
+	// transition model the stored outcomes were executed with; empty
+	// means no model, or a store written before models were pinned (see
+	// PinModel).
+	ModelSHA256 string `json:"model_sha256,omitempty"`
+	// Build describes the binary that created the store. It is
+	// informational only: it is never compared on resume.
+	Build string `json:"build,omitempty"`
 }
+
+// ErrModelMismatch reports a run whose transition model differs from the
+// one the store's outcomes were executed with. Folding the two would mix
+// classifications from different models, so the run must not start.
+var ErrModelMismatch = errors.New("store: transition model differs from the one pinned in meta")
 
 // Options tune the store.
 type Options struct {
@@ -138,7 +151,7 @@ func Open(dir string, meta Meta, opts Options) (*Store, error) {
 		have:    map[string][]uint64{},
 		counts:  map[string]int{},
 	}
-	stored, err := loadMeta(dir)
+	stored, err := ReadMeta(dir)
 	switch {
 	case err == nil:
 		if err := checkMeta(stored, meta); err != nil {
@@ -165,7 +178,9 @@ func Open(dir string, meta Meta, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func loadMeta(dir string) (Meta, error) {
+// ReadMeta reads the meta.json of the store in dir without opening it.
+// A directory with no store fails with an error wrapping os.ErrNotExist.
+func ReadMeta(dir string) (Meta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
 		return Meta{}, err
@@ -178,8 +193,13 @@ func loadMeta(dir string) (Meta, error) {
 }
 
 // checkMeta verifies every identity field the caller set against the
-// stored identity.
+// stored identity (Extra and Build are the caller's business).
 func checkMeta(stored, want Meta) error {
+	if want.ModelSHA256 != "" {
+		if err := checkModel(stored.ModelSHA256, want.ModelSHA256); err != nil {
+			return err
+		}
+	}
 	if want.CampaignID != "" && want.CampaignID != stored.CampaignID {
 		return fmt.Errorf("store: holds campaign %q, not %q", stored.CampaignID, want.CampaignID)
 	}
@@ -195,6 +215,42 @@ func checkMeta(stored, want Meta) error {
 	if len(want.Benchmarks) != 0 && !equalStrings(want.Benchmarks, stored.Benchmarks) {
 		return fmt.Errorf("store: holds benchmarks %v, not %v", stored.Benchmarks, want.Benchmarks)
 	}
+	return nil
+}
+
+// checkModel compares a model hash against a pinned one; an unpinned
+// store accepts any.
+func checkModel(pinned, want string) error {
+	if pinned != "" && want != pinned {
+		if want == "" {
+			want = "none"
+		}
+		return fmt.Errorf("%w: pinned %s, run has %s", ErrModelMismatch, pinned, want)
+	}
+	return nil
+}
+
+// PinModel binds the store to a transition model, given as the hex
+// SHA-256 of its canonical encoding ("" for a campaign without one). A
+// store that already pins a hash fails with ErrModelMismatch for any
+// other; an unpinned one — new, or written before models were pinned —
+// records the hash in meta.json. A campaign pins before it executes
+// anything, so a mismatch never appends an outcome.
+func (s *Store) PinModel(sha string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := checkModel(s.meta.ModelSHA256, sha); err != nil {
+		return err
+	}
+	if s.meta.ModelSHA256 == sha || s.opts.ReadOnly {
+		return nil
+	}
+	m := s.meta
+	m.ModelSHA256 = sha
+	if err := writeFileAtomic(filepath.Join(s.dir, "meta.json"), mustJSON(m)); err != nil {
+		return err
+	}
+	s.meta = m
 	return nil
 }
 
@@ -643,8 +699,13 @@ func (s *Store) Result() (*inject.CampaignResult, error) {
 	return res, nil
 }
 
-// Meta returns the campaign identity the store was created with.
-func (s *Store) Meta() Meta { return s.meta }
+// Meta returns the campaign identity the store was created with, plus
+// the model hash pinned since.
+func (s *Store) Meta() Meta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.meta
+}
 
 // Count returns how many outcomes are stored for one benchmark.
 func (s *Store) Count(bench string) int {

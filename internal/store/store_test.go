@@ -353,6 +353,78 @@ func TestStoreMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestStorePinModel covers the model-hash lifecycle: a first run pins,
+// a reopen keeps the pin, a different hash is ErrModelMismatch (also
+// through Open), and a meta.json written before models were pinned
+// resumes and gets the hash filled in.
+func TestStorePinModel(t *testing.T) {
+	dir := t.TempDir()
+	meta := testMeta()
+	meta.Build = "build-a"
+	s, err := store.Open(dir, meta, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PinModel("aa11"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PinModel("aa11"); err != nil {
+		t.Fatalf("re-pinning the same hash: %v", err)
+	}
+	if err := s.PinModel("bb22"); !errors.Is(err, store.ErrModelMismatch) {
+		t.Fatalf("different hash: %v, want ErrModelMismatch", err)
+	}
+	if err := s.PinModel(""); !errors.Is(err, store.ErrModelMismatch) {
+		t.Fatalf("dropping the model: %v, want ErrModelMismatch", err)
+	}
+	s.Close()
+
+	// Build is informational: a reopen from another binary is fine.
+	other := testMeta()
+	other.Build = "build-b"
+	s, err = store.Open(dir, other, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Meta(); m.ModelSHA256 != "aa11" || m.Build != "build-a" {
+		t.Fatalf("reopened meta: model %q build %q", m.ModelSHA256, m.Build)
+	}
+	s.Close()
+	other.ModelSHA256 = "bb22"
+	if _, err := store.Open(dir, other, store.Options{}); !errors.Is(err, store.ErrModelMismatch) {
+		t.Fatalf("open with a different model: %v, want ErrModelMismatch", err)
+	}
+
+	// A meta.json from before model pinning has no model_sha256 field.
+	legacy := t.TempDir()
+	data, err := json.Marshal(map[string]any{
+		"campaign_id": "c-test", "benchmarks": []string{"mcf", "x264"},
+		"injections_per_benchmark": 64, "activations": 40, "seed": 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, "meta.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = store.Open(legacy, testMeta(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PinModel("cc33"); err != nil {
+		t.Fatalf("legacy meta: %v", err)
+	}
+	s.Close()
+	raw, err := os.ReadFile(filepath.Join(legacy, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk store.Meta
+	if err := json.Unmarshal(raw, &onDisk); err != nil || onDisk.ModelSHA256 != "cc33" {
+		t.Fatalf("legacy meta.json not filled in: %s (%v)", raw, err)
+	}
+}
+
 // interruptSink kills the campaign (by failing Record) after limit
 // outcomes have been persisted, simulating a crash mid-campaign.
 type interruptSink struct {

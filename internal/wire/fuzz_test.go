@@ -40,6 +40,7 @@ func FuzzWireDecode(f *testing.F) {
 	// Protocol-message garbage for DecodeMsg.
 	f.Add(wire.AppendFrame(nil, []byte{byte(wire.MsgLease), 0x80}))
 	f.Add(wire.AppendShardDone(nil, wire.ShardDone{Lease: 1, Claimed: 2, Tally: []byte{0xff}}))
+	f.Add(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: []byte(`{"id":"c1"}`), Model: welcomeModel(f)}))
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		block := append(append([]byte{}, intact...), tail...)

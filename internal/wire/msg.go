@@ -22,6 +22,10 @@ import (
 //	worker → ShardDone        coordinator → BatchAck
 //	worker → ShardFail        coordinator → BatchAck
 //
+// The Welcome carries everything a worker executes: the spec its plans
+// derive from, and the model bytes the coordinator trained once per
+// campaign — workers never train.
+//
 // Batches carry concatenated WAL-compatible record frames (see
 // AppendRecordFrame): the coordinator verifies and decodes each record to
 // fold tallies, then appends the already-framed bytes to the WAL verbatim
@@ -33,7 +37,7 @@ type MsgType byte
 // Protocol message types.
 const (
 	MsgHello     MsgType = 1  // worker → coordinator: version, campaign, name
-	MsgWelcome   MsgType = 2  // coordinator → worker: version, campaign spec JSON
+	MsgWelcome   MsgType = 2  // coordinator → worker: version, campaign spec JSON, model
 	MsgLeaseReq  MsgType = 3  // worker → coordinator: give me a shard
 	MsgLease     MsgType = 4  // coordinator → worker: one shard lease
 	MsgNoWork    MsgType = 5  // coordinator → worker: nothing leasable now, retry
@@ -54,7 +58,8 @@ const AckSlowdown = 1
 // below this, so a larger claim is corruption.
 const maxIndices = 1 << 24
 
-// maxBlob bounds embedded byte blobs (spec JSON, batch blocks, tallies).
+// maxBlob bounds embedded byte blobs (spec JSON, models, batch blocks,
+// tallies).
 const maxBlob = MaxFrame
 
 // Hello opens a worker session.
@@ -66,10 +71,14 @@ type Hello struct {
 
 // Welcome answers a Hello: the campaign spec as canonical JSON, from
 // which the worker derives the exact CampaignConfig (and therefore the
-// exact plans) the coordinator uses.
+// exact plans) the coordinator uses, and the transition model the
+// coordinator trained once for the campaign, in its canonical ml
+// encoding (ml.DecodeTree). An empty Model means the campaign runs
+// without one (train_injections 0).
 type Welcome struct {
 	Version uint64
 	Spec    []byte
+	Model   []byte
 }
 
 // Lease hands one shard to a worker. Indices are positions into the
@@ -153,6 +162,7 @@ func AppendWelcome(dst []byte, m Welcome) []byte {
 	p := []byte{byte(MsgWelcome)}
 	p = appendUvarint(p, m.Version)
 	p = appendBlob(p, m.Spec)
+	p = appendBlob(p, m.Model)
 	return AppendFrame(dst, p)
 }
 
@@ -244,8 +254,8 @@ type Msg struct {
 
 // DecodeMsg decodes one message payload (one frame's payload, as handed
 // out by Reader.Next or SplitFrame). Byte-slice fields (Batch.Block,
-// Welcome.Spec, ShardDone.Tally) alias the payload and are valid only as
-// long as it is.
+// Welcome.Spec, Welcome.Model, ShardDone.Tally) alias the payload and are
+// valid only as long as it is.
 func DecodeMsg(payload []byte) (Msg, error) {
 	t, b, err := consumeByte(payload)
 	if err != nil {
@@ -274,6 +284,9 @@ func DecodeMsg(payload []byte) (Msg, error) {
 			return bad(err)
 		}
 		if w.Spec, b, err = consumeBlob(b); err != nil {
+			return bad(err)
+		}
+		if w.Model, b, err = consumeBlob(b); err != nil {
 			return bad(err)
 		}
 		m.Welcome = w

@@ -28,8 +28,10 @@ const (
 	// sections on tallies. Version 3 added the trailing per-site prune
 	// rows on tallies (the coordinator cross-checks worker tallies with
 	// DeepEqual, so the per-site provenance counters must ride the wire
-	// bit-exact).
-	ProtoVersion = 3
+	// bit-exact). Version 4 added the Welcome's model blob: the
+	// coordinator trains once and ships the canonical tree bytes, so
+	// workers no longer retrain from the spec.
+	ProtoVersion = 4
 	// FrameHeader is the frame prefix: uint32 payload length + uint32
 	// CRC32 (IEEE) of the payload, both little-endian — the same framing
 	// the result store's WAL uses, so a record frame produced here can be

@@ -12,6 +12,7 @@ import (
 	"xentry/internal/guest"
 	"xentry/internal/inject"
 	"xentry/internal/isa"
+	"xentry/internal/ml"
 	"xentry/internal/recovery"
 	"xentry/internal/wire"
 )
@@ -273,10 +274,36 @@ func TestMsgRoundTrip(t *testing.T) {
 		t.Fatalf("lease round-trip: %+v", *m.Lease)
 	}
 
+	payload, _, _ = wire.SplitFrame(msgs[1])
+	if m, err = wire.DecodeMsg(payload); err != nil || !bytes.Equal(m.Welcome.Spec, spec) || len(m.Welcome.Model) != 0 {
+		t.Fatalf("model-less welcome round-trip: %+v err=%v", m.Welcome, err)
+	}
+	model := welcomeModel(t)
+	payload, _, _ = wire.SplitFrame(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: spec, Model: model}))
+	if m, err = wire.DecodeMsg(payload); err != nil || !bytes.Equal(m.Welcome.Spec, spec) || !bytes.Equal(m.Welcome.Model, model) {
+		t.Fatalf("welcome round-trip: %+v err=%v", m.Welcome, err)
+	}
+	if _, err := ml.DecodeTree(m.Welcome.Model); err != nil {
+		t.Fatalf("shipped model does not decode: %v", err)
+	}
+
 	payload, _, _ = wire.SplitFrame(msgs[6])
 	if m, err = wire.DecodeMsg(payload); err != nil || m.Batch.Lease != 42 || !bytes.Equal(m.Batch.Block, []byte{1, 2, 3}) {
 		t.Fatalf("batch round-trip: %+v err=%v", m.Batch, err)
 	}
+}
+
+// welcomeModel is the canonical encoding of a small hand-built transition
+// tree, as a coordinator ships it in Welcome.
+func welcomeModel(t testing.TB) []byte {
+	t.Helper()
+	tree := &ml.Tree{Cfg: ml.DefaultRandomTree(1), Root: &ml.Node{Feature: ml.FeatRT, Threshold: 300,
+		Left: &ml.Node{Leaf: true, Correct: true}, Right: &ml.Node{Leaf: true}}}
+	b, err := tree.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestTechniqueByNameAcrossDecoders simulates cross-process technique ID

@@ -32,6 +32,12 @@ go test -run '^$' -fuzz FuzzThreadedVsSwitch -fuzztime 15s ./internal/cpu/
 # feeds these decoders straight off the network).
 go test -run FuzzWireDecode ./internal/wire/
 go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
+# Tree-codec fuzzing: the transition model reaches workers as bytes in
+# the Welcome, so its decoder takes hostile input too — every input must
+# either error or decode to a tree that re-encodes byte-identically and
+# classifies without panicking.
+go test -run FuzzDecodeTree ./internal/ml/
+go test -run '^$' -fuzz FuzzDecodeTree -fuzztime 15s ./internal/ml/
 # Site-codec fuzzing: the record codec's trailing site block must
 # round-trip every in-range {vcpu, site-class, index} triple and reject
 # out-of-range or truncated blocks without panicking.
