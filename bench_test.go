@@ -84,6 +84,25 @@ func BenchmarkTableIFeatureCollection(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectDataset measures training-data collection at the
+// DefaultScale training split (12,000 injections over six benchmarks plus
+// the fault-free runs): the layer that dominates a campaign's setup time.
+func BenchmarkCollectDataset(b *testing.B) {
+	cfg, _ := experiments.DefaultScale().DatasetConfigs()
+	var samples int
+	for i := 0; i < b.N; i++ {
+		ds, err := inject.CollectDataset(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples = len(ds)
+	}
+	b.StopTimer()
+	injections := b.N * cfg.InjectionsPerBenchmark * len(cfg.Benchmarks)
+	b.ReportMetric(float64(samples), "samples")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injections), "ns/injection")
+}
+
 // BenchmarkSec3TrainDecisionTree regenerates the decision-tree half of the
 // Section III-B study and reports its test accuracy (paper: 96.1%).
 func BenchmarkSec3TrainDecisionTree(b *testing.B) {

@@ -11,22 +11,41 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"xentry/internal/experiments"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("xentry-train: ")
-	injections := flag.Int("injections", 12000, "total training injections across benchmarks")
-	faultFree := flag.Int("fault-free", 6, "fault-free runs per benchmark")
-	seed := flag.Int64("seed", 20140901, "deterministic seed")
-	printTree := flag.Bool("print-tree", false, "dump the learned random tree (Fig. 6)")
-	sweeps := flag.Bool("sweeps", false, "run the feature/depth/size sweeps and the naive Bayes baseline the paper omitted")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command body: it returns the process exit status, 2 for a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xentry-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	injections := fs.Int("injections", 12000, "total training injections across benchmarks")
+	faultFree := fs.Int("fault-free", 6, "fault-free runs per benchmark")
+	seed := fs.Int64("seed", 20140901, "deterministic seed")
+	printTree := fs.Bool("print-tree", false, "dump the learned random tree (Fig. 6)")
+	sweeps := fs.Bool("sweeps", false, "run the feature/depth/size sweeps and the naive Bayes baseline the paper omitted")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *injections < 0 || *faultFree < 0 {
+		fmt.Fprintf(stderr, "xentry-train: -injections and -fault-free must be non-negative (got %d, %d)\n",
+			*injections, *faultFree)
+		fs.Usage()
+		return 2
+	}
 
 	sc := experiments.DefaultScale()
 	sc.TrainInjections = *injections
@@ -34,19 +53,22 @@ func main() {
 	sc.Seed = *seed
 	res, err := experiments.Train(sc)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "xentry-train:", err)
+		return 1
 	}
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	if *printTree {
-		fmt.Println("\nFig. 6 — learned tree (random tree rules):")
-		fmt.Print(res.RandomTree.String())
+		fmt.Fprintln(stdout, "\nFig. 6 — learned tree (random tree rules):")
+		fmt.Fprint(stdout, res.RandomTree.String())
 	}
 	if *sweeps {
 		sw, err := experiments.Sweeps(sc)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(stderr, "xentry-train:", err)
+			return 1
 		}
-		fmt.Println()
-		fmt.Print(sw.Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, sw.Render())
 	}
+	return 0
 }

@@ -198,11 +198,10 @@ type TrainResult struct {
 	DecisionTreeDepth, RandomDeep int
 }
 
-// Train collects a training and a held-out testing dataset from injection
-// and fault-free runs (the paper's ~23,400/~17,700 run split), trains both
-// tree algorithms, and evaluates them on the testing set.
-func Train(sc Scale) (*TrainResult, error) {
-	trainCfg := inject.DatasetConfig{
+// DatasetConfigs sizes the scale's train/test split: the testing set is
+// drawn from a disjoint seed so it stays held out.
+func (sc Scale) DatasetConfigs() (train, test inject.DatasetConfig) {
+	train = inject.DatasetConfig{
 		Benchmarks:             workload.Names(),
 		Mode:                   workload.PV,
 		FaultFreeRuns:          sc.TrainFaultFreeRuns,
@@ -211,15 +210,30 @@ func Train(sc Scale) (*TrainResult, error) {
 		Seed:                   sc.Seed,
 		Workers:                sc.Workers,
 	}
-	trainSet, err := inject.CollectDataset(trainCfg)
-	if err != nil {
-		return nil, err
+	test = train
+	test.FaultFreeRuns = sc.TestFaultFreeRuns
+	test.InjectionsPerBenchmark = sc.TestInjections / len(workload.Names())
+	test.Seed = sc.Seed + 777777
+	return train, test
+}
+
+// collectSplit collects the training and testing datasets of a scale.
+func collectSplit(sc Scale) (train, test ml.Dataset, err error) {
+	trainCfg, testCfg := sc.DatasetConfigs()
+	if train, err = inject.CollectDataset(trainCfg); err != nil {
+		return nil, nil, err
 	}
-	testCfg := trainCfg
-	testCfg.FaultFreeRuns = sc.TestFaultFreeRuns
-	testCfg.InjectionsPerBenchmark = sc.TestInjections / len(workload.Names())
-	testCfg.Seed = sc.Seed + 777777
-	testSet, err := inject.CollectDataset(testCfg)
+	if test, err = inject.CollectDataset(testCfg); err != nil {
+		return nil, nil, err
+	}
+	return train, test, nil
+}
+
+// Train collects a training and a held-out testing dataset from injection
+// and fault-free runs (the paper's ~23,400/~17,700 run split), trains both
+// tree algorithms, and evaluates them on the testing set.
+func Train(sc Scale) (*TrainResult, error) {
+	trainSet, testSet, err := collectSplit(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,6 @@ package inject
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"xentry/internal/core"
 	"xentry/internal/ml"
@@ -33,7 +29,8 @@ type DatasetConfig struct {
 	InjectionsPerBenchmark int
 	// Seed drives everything.
 	Seed int64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers is ignored: collection walks benchmarks one at a time (a
+	// walk per goroutine raised peak RSS by a tenth).
 	Workers int
 	// SlowPath forces the seed-equivalent interpreter slow path; dataset
 	// bytes are bit-identical either way (the differential tests prove it).
@@ -45,10 +42,6 @@ type DatasetConfig struct {
 	// detection switch; dataset bytes are bit-identical either way (the
 	// differential tests prove it).
 	LegacyDetection bool
-	// DisablePrune forces every injection run to its full activation
-	// budget (see Runner.DisablePrune); dataset bytes are bit-identical
-	// either way (the differential tests prove it).
-	DisablePrune bool
 }
 
 // DefaultDatasetConfig sizes collection for a quick but representative
@@ -70,45 +63,22 @@ func DefaultDatasetConfig(seed int64) DatasetConfig {
 // corruptions with golden-identical signatures are excluded — they are not
 // incorrect *control flow*, and the transition detector by construction
 // cannot see them (they form Table II's undetected classes instead).
+// A label depends only on the injected activation, so no injection runs
+// its post-flip suffix (see injectionSamples). Benchmarks are collected
+// one at a time.
 func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
+	if cfg.FaultFreeRuns < 0 || cfg.InjectionsPerBenchmark < 0 || cfg.Activations < 0 {
+		return nil, fmt.Errorf("inject: dataset sizes must be non-negative (fault-free %d, injections %d, activations %d)",
+			cfg.FaultFreeRuns, cfg.InjectionsPerBenchmark, cfg.Activations)
+	}
 	if len(cfg.Benchmarks) == 0 {
 		cfg.Benchmarks = workload.Names()
 	}
 	if cfg.Activations == 0 {
 		cfg.Activations = 160
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var dataset ml.Dataset
-
 	for bi, bench := range cfg.Benchmarks {
-		// Correct samples from fault-free runs.
-		for run := 0; run < cfg.FaultFreeRuns; run++ {
-			simCfg := sim.Config{
-				Benchmark:       bench,
-				Mode:            cfg.Mode,
-				Domains:         3,
-				Seed:            cfg.Seed + int64(bi)*1543 + int64(run)*389,
-				Detection:       core.FullDetection(),
-				SlowPath:        cfg.SlowPath,
-				SwitchDispatch:  cfg.SwitchDispatch,
-				LegacyDetection: cfg.LegacyDetection,
-			}
-			acts, err := sim.GoldenRun(simCfg, cfg.Activations)
-			if err != nil {
-				return nil, fmt.Errorf("inject: dataset golden run: %w", err)
-			}
-			for _, a := range acts {
-				if a.Outcome.HasFeatures {
-					dataset = append(dataset, ml.Sample{Features: a.Outcome.Features, Correct: true})
-				}
-			}
-		}
-
-		// Incorrect samples from injections (no model installed — this is
-		// the data the model will be trained on).
 		simCfg := sim.Config{
 			Benchmark:       bench,
 			Mode:            cfg.Mode,
@@ -119,55 +89,101 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 			SwitchDispatch:  cfg.SwitchDispatch,
 			LegacyDetection: cfg.LegacyDetection,
 		}
+		// No model installed — this is the data the model will be trained
+		// on. The runner's golden run is fault-free run 0.
 		runner, err := NewRunner(simCfg, cfg.Activations, nil)
 		if err != nil {
 			return nil, fmt.Errorf("inject: dataset runner: %w", err)
 		}
-		runner.DisablePrune = cfg.DisablePrune
+
+		// Correct samples from differently seeded fault-free runs.
+		for run := 0; run < cfg.FaultFreeRuns; run++ {
+			acts := runner.Golden
+			if run > 0 {
+				runCfg := simCfg
+				runCfg.Seed += int64(run) * 389
+				if acts, err = sim.GoldenRun(runCfg, cfg.Activations); err != nil {
+					return nil, fmt.Errorf("inject: dataset golden run: %w", err)
+				}
+			}
+			for _, a := range acts {
+				if a.Outcome.HasFeatures {
+					dataset = append(dataset, ml.Sample{Features: a.Outcome.Features, Correct: true})
+				}
+			}
+		}
+
+		// Incorrect samples from injections.
 		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(bi+3)*6151))
 		plans := make([]Plan, cfg.InjectionsPerBenchmark)
 		for i := range plans {
 			plans[i] = runner.RandomPlan(rng)
 		}
-		// Same checkpoint-pool execution scheme as RunCampaign: per-worker
-		// reusable machines, plans claimed in activation order.
-		order := make([]int, len(plans))
-		for i := range order {
-			order[i] = i
+		samples, err := injectionSamples(runner, plans)
+		if err != nil {
+			return nil, err
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return plans[order[a]].Activation < plans[order[b]].Activation
-		})
-		outcomes := make([]Outcome, len(plans))
-		errs := make([]error, len(plans))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker := runner.NewWorker()
-				for {
-					n := next.Add(1) - 1
-					if n >= int64(len(order)) {
-						return
-					}
-					i := order[n]
-					outcomes[i], errs[i] = worker.RunOne(plans[i])
-				}
-			}()
+		dataset = append(dataset, samples...)
+	}
+	return dataset, nil
+}
+
+// injectionSamples returns, in plan order, an incorrect sample for every
+// plan whose injected activation reached VM entry with a diverged counter
+// signature — exactly the plans Worker.RunOne reports HasFeatures and
+// FeaturesDiffer for. A reference machine walks the fault-free stream and
+// is checkpointed at each planned activation; per plan, a second machine
+// restores that checkpoint and executes only the injected activation
+// through the campaign engine's hook. Memory is two machines plus one live
+// checkpoint: no checkpoint pool, no prune tables.
+func injectionSamples(r *Runner, plans []Plan) (ml.Dataset, error) {
+	if len(plans) == 0 {
+		return nil, nil
+	}
+	ref, err := r.newMachine()
+	if err != nil {
+		return nil, err
+	}
+	inj, err := r.newMachine()
+	if err != nil {
+		return nil, err
+	}
+	byAct := make([][]int, r.Activations)
+	for i, p := range plans {
+		byAct[p.Activation] = append(byAct[p.Activation], i)
+	}
+	diverged := make([]bool, len(plans))
+	sigs := make([][ml.NumFeatures]uint64, len(plans))
+	for a, planned := range byAct {
+		if len(planned) == 0 {
+			continue
 		}
-		wg.Wait()
-		for i := range errs {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("inject: dataset injection: %w", errs[i])
+		for ref.StepIndex() < a {
+			if _, err := ref.Step(); err != nil {
+				return nil, fmt.Errorf("inject: dataset reference walk: %w", err)
 			}
 		}
-		for _, o := range outcomes {
-			if o.HasFeatures && o.FeaturesDiffer {
-				dataset = append(dataset, ml.Sample{Features: o.Features, Correct: false})
+		cp := ref.Checkpoint()
+		for _, i := range planned {
+			if err := inj.RestoreFrom(cp); err != nil {
+				return nil, fmt.Errorf("inject: dataset restore: %w", err)
+			}
+			act, _, err := r.injectActivation(inj, plans[i])
+			if err != nil {
+				return nil, err
+			}
+			// A signature exists only when the activation reached VM entry.
+			out := act.Outcome
+			if out.HasFeatures && out.Features != r.Golden[a].Outcome.Features {
+				diverged[i], sigs[i] = true, out.Features
 			}
 		}
 	}
-	return dataset, nil
+	var samples ml.Dataset
+	for i := range plans {
+		if diverged[i] {
+			samples = append(samples, ml.Sample{Features: sigs[i], Correct: false})
+		}
+	}
+	return samples, nil
 }

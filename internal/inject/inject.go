@@ -609,100 +609,15 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	// Arm the recovery engine for the injected run only (machineAt's
 	// prefix replay above ran engine-free, matching the reference replay
 	// that built the checkpoint pool). The engine disarms after its first
-	// attempt: one recovery per run. The injection hook rides on the CPU
-	// scheduled to execute the injected activation — register flips land
-	// in that CPU's file; uncore flips are applied from its hook but may
-	// address another CPU's APIC word or PMU bank (plan.VCPU).
+	// attempt: one recovery per run.
 	m.Recovery = r.Recovery
-	ev := r.Golden[plan.Activation].Ev
-	c := m.HV.CPUFor(&ev)
-	defer func() {
-		c.PreStep = nil
-		m.Recovery = nil
-	}()
+	defer func() { m.Recovery = nil }()
 
-	o := Outcome{Plan: plan, DetectedAt: -1}
-	var (
-		injected      bool
-		activatedStep uint64
-		consumerOp    isa.Op
-		haveConsumer  bool
-		overwritten   bool
-	)
-	if !plan.Site.Register() {
-		if plan.Site == SiteTLB {
-			// The TLB's warmth at this point depends on the checkpoint
-			// interval (a restore invalidates, residual replay re-warms).
-			// An uncorrupted TLB is observationally transparent — the
-			// restore path already relies on that — so clearing it here
-			// makes the flipped entry's fate, and hence the outcome,
-			// independent of K.
-			m.HV.Mem.InvalidateTLB()
-		}
-		// Uncore sites have no consume/overwrite automaton: the flip lands
-		// in machine state outside the executing instruction stream, and
-		// whether it ever matters shows up only in the golden differential.
-		c.PreStep = func(step, pc uint64) {
-			if step < plan.Step {
-				return
-			}
-			activatedStep = step
-			o.Symbol = m.HV.SymbolFor(pc)
-			o.Activated = applyUncoreFault(m, plan)
-			c.PreStep = nil
-		}
-	} else {
-		// The hook disarms itself (PreStep = nil) the moment the flip's fate is
-		// decided — activated or overwritten — so the CPU drops from the traced
-		// loop to the untraced fast loop for the remainder of the run instead of
-		// paying the hook on every post-injection instruction.
-		c.PreStep = func(step, pc uint64) {
-			if !injected {
-				if step >= plan.Step {
-					injected = true
-					activatedStep = step
-					c.Regs[plan.Reg] ^= 1 << plan.Bit
-					o.Symbol = m.HV.SymbolFor(pc)
-					if plan.Reg == isa.RIP {
-						// A flipped instruction pointer is consumed by the very
-						// next fetch.
-						o.Activated = true
-						c.PreStep = nil
-					}
-				}
-				return
-			}
-			if o.Activated || overwritten {
-				c.PreStep = nil
-				return
-			}
-			in, ok := m.HV.Seg.InstrAt(pc)
-			if !ok {
-				// Fetch about to fault; control flow already diverged.
-				o.Activated = true
-				activatedStep = step
-				c.PreStep = nil
-				return
-			}
-			if in.ReadsReg(plan.Reg) {
-				o.Activated = true
-				activatedStep = step
-				consumerOp = in.Op
-				haveConsumer = true
-				c.PreStep = nil
-				return
-			}
-			if in.WritesReg(plan.Reg) {
-				overwritten = true
-				c.PreStep = nil
-			}
-		}
-	}
-	act, err := m.Step()
-	c.PreStep = nil
+	act, f, err := r.injectActivation(m, plan)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("inject: injected activation: %w", err)
+		return Outcome{}, err
 	}
+	o := Outcome{Plan: plan, DetectedAt: -1, Activated: f.activated, Symbol: f.symbol}
 	if act.Recovery.Attempted {
 		m.Recovery = nil
 		o.Recovery = act.Recovery
@@ -714,11 +629,11 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	// died under the watchdog — recovery failed outright.
 	if res.Stop != cpu.StopVMEntry {
 		o.Hang = act.Outcome.Hang
-		o.foldVerdict(plan.Activation, &act, sub(res.Steps, activatedStep))
+		o.foldVerdict(plan.Activation, &act, sub(res.Steps, f.step))
 		o.Consequence = guest.AllVMFailure
 		o.DiffKind = guest.DiffNone
 		o.Manifested = true
-		o.Cause = r.undetectedCause(&o, haveConsumer, consumerOp)
+		o.Cause = r.undetectedCause(&o, f.haveConsumer, f.consumerOp)
 		if o.Recovery.Attempted {
 			o.Recovery.Class = recovery.Classify(false, guest.AllVMFailure)
 		}
@@ -731,7 +646,7 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	o.HasFeatures = act.Outcome.HasFeatures
 	o.FeaturesDiffer = act.Outcome.HasFeatures &&
 		act.Outcome.Features != r.Golden[plan.Activation].Outcome.Features
-	latencyBase := sub(res.Steps, activatedStep)
+	latencyBase := sub(res.Steps, f.step)
 	o.foldVerdict(plan.Activation, &act, latencyBase)
 
 	// Convergence check (prune.go): after each completed activation,
@@ -826,11 +741,120 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	o.DiffKind = worstKind
 	o.Manifested = worst != guest.Benign
 	o.LongLatency = o.Manifested
-	o.Cause = r.undetectedCause(&o, haveConsumer, consumerOp)
+	o.Cause = r.undetectedCause(&o, f.haveConsumer, f.consumerOp)
 	if o.Recovery.Attempted {
 		o.Recovery.Class = recovery.Classify(!truncated, worst)
 	}
 	return o, nil
+}
+
+// flipFate is what the injection hook observed of a plan's flip during the
+// injected activation.
+type flipFate struct {
+	// activated: the flipped value was consumed (or, for uncore sites,
+	// took hold) before being overwritten.
+	activated bool
+	// symbol is the handler executing when the flip landed.
+	symbol string
+	// step is the dynamic instruction of the first consumption (the flip
+	// itself for RIP and uncore sites).
+	step uint64
+	// consumerOp is the consuming instruction's opcode, when one was seen.
+	consumerOp   isa.Op
+	haveConsumer bool
+}
+
+// injectActivation executes plan's injected activation on m, which must
+// stand at the fault-free state entering plan.Activation: it arms the flip
+// on the CPU scheduled to execute the activation, steps the machine once,
+// and disarms. This is the one injection hook, shared by the campaign
+// engine (Worker.RunOne) and training-data collection (CollectDataset).
+// Register flips land in the executing CPU's file; uncore flips are
+// applied from its hook but may address another CPU's APIC word or PMU
+// bank (plan.VCPU).
+func (r *Runner) injectActivation(m *sim.Machine, plan Plan) (sim.Activation, flipFate, error) {
+	ev := r.Golden[plan.Activation].Ev
+	c := m.HV.CPUFor(&ev)
+	var (
+		f           flipFate
+		injected    bool
+		overwritten bool
+	)
+	if !plan.Site.Register() {
+		if plan.Site == SiteTLB {
+			// The TLB's warmth at this point depends on the checkpoint
+			// interval (a restore invalidates, residual replay re-warms).
+			// An uncorrupted TLB is observationally transparent — the
+			// restore path already relies on that — so clearing it here
+			// makes the flipped entry's fate, and hence the outcome,
+			// independent of K.
+			m.HV.Mem.InvalidateTLB()
+		}
+		// Uncore sites have no consume/overwrite automaton: the flip lands
+		// in machine state outside the executing instruction stream, and
+		// whether it ever matters shows up only in the golden differential.
+		c.PreStep = func(step, pc uint64) {
+			if step < plan.Step {
+				return
+			}
+			f.step = step
+			f.symbol = m.HV.SymbolFor(pc)
+			f.activated = applyUncoreFault(m, plan)
+			c.PreStep = nil
+		}
+	} else {
+		// The hook disarms itself (PreStep = nil) the moment the flip's fate is
+		// decided — activated or overwritten — so the CPU drops from the traced
+		// loop to the untraced fast loop for the remainder of the run instead of
+		// paying the hook on every post-injection instruction.
+		c.PreStep = func(step, pc uint64) {
+			if !injected {
+				if step >= plan.Step {
+					injected = true
+					f.step = step
+					c.Regs[plan.Reg] ^= 1 << plan.Bit
+					f.symbol = m.HV.SymbolFor(pc)
+					if plan.Reg == isa.RIP {
+						// A flipped instruction pointer is consumed by the very
+						// next fetch.
+						f.activated = true
+						c.PreStep = nil
+					}
+				}
+				return
+			}
+			if f.activated || overwritten {
+				c.PreStep = nil
+				return
+			}
+			in, ok := m.HV.Seg.InstrAt(pc)
+			if !ok {
+				// Fetch about to fault; control flow already diverged.
+				f.activated = true
+				f.step = step
+				c.PreStep = nil
+				return
+			}
+			if in.ReadsReg(plan.Reg) {
+				f.activated = true
+				f.step = step
+				f.consumerOp = in.Op
+				f.haveConsumer = true
+				c.PreStep = nil
+				return
+			}
+			if in.WritesReg(plan.Reg) {
+				overwritten = true
+				c.PreStep = nil
+			}
+		}
+	}
+	act, err := m.Step()
+	c.PreStep = nil
+	if err != nil {
+		return sim.Activation{}, flipFate{}, fmt.Errorf("inject: injected activation: %w", err)
+	}
+	return act, f, nil
 }
 
 // applyUncoreFault applies a non-register-site flip to the machine and

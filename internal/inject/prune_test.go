@@ -97,43 +97,6 @@ func TestPruneRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPruneDatasetBitIdentical proves training-data collection emits
-// byte-identical samples with pruning on and off — pruned outcomes must
-// preserve the feature vectors and FeaturesDiffer bits the labeler reads.
-func TestPruneDatasetBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full dataset differential")
-	}
-	cfg := DatasetConfig{
-		Benchmarks:             workload.Names(),
-		Mode:                   workload.PV,
-		FaultFreeRuns:          2,
-		Activations:            80,
-		InjectionsPerBenchmark: 30,
-		Seed:                   7,
-		Workers:                2,
-	}
-	pruned, err := CollectDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisablePrune = true
-	full, err := CollectDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pruned, full) {
-		if len(pruned) != len(full) {
-			t.Fatalf("dataset sizes diverge: pruned %d, full %d", len(pruned), len(full))
-		}
-		for i := range pruned {
-			if !reflect.DeepEqual(pruned[i], full[i]) {
-				t.Fatalf("sample %d diverges:\npruned %+v\nfull %+v", i, pruned[i], full[i])
-			}
-		}
-	}
-}
-
 // TestPruneOutcomesBitIdenticalPerPlan is the per-outcome version of the
 // campaign differential: for every plan in a large random population, the
 // pruned engine's Outcome must equal the full engine's in every field but

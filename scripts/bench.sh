@@ -14,7 +14,8 @@
 #              original engine stays visible even after many PRs.
 #   results  — live numbers from this tree: end-to-end campaign
 #              throughput (inj/s) per checkpoint-interval variant, K=1
-#              throughput per fault-site class on a 4-vCPU machine, the
+#              throughput per fault-site class on a 4-vCPU machine,
+#              training-data collection (ns/injection), the
 #              interpreter's per-instruction cost (ns/instr) on the fast
 #              and forced-slow paths, the D-TLB hit/miss cost, the wire
 #              codec's encode/decode cost (must stay 0 allocs/op), and
@@ -35,6 +36,7 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench BenchmarkCampaignThroughput -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench BenchmarkSiteThroughput -benchmem -count 3 . >>"$tmp"
+go test -run '^$' -bench BenchmarkCollectDataset -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkCPURunHot -benchmem -count 3 ./internal/cpu/ >>"$tmp"
 go test -run '^$' -bench BenchmarkMemAccess -benchmem -count 3 ./internal/mem/ >>"$tmp"
 go test -run '^$' -bench BenchmarkWireCodec -benchmem -count 3 ./internal/wire/ >>"$tmp"

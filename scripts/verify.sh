@@ -65,3 +65,7 @@ go test -run 'TestLegacyCampaignBitIdenticalToExplicitDefaults|TestSMPMultiSiteC
 go test -run 'TestScheduleTrace|TestSMPGoldenRunDeterministic' ./internal/sim/
 go test -run 'TestResumeSMPMultiSiteCampaignBitIdentical' ./internal/store/
 go test -race -run 'TestSMPMultiSiteCampaignDeterministic' ./internal/inject/
+# Dataset burst: the signature-only collection walk must label every
+# plan exactly as full RunOne outcomes do (pruned and unpruned), and the
+# QuickScale datasets and model must match their pinned digests.
+go test -run 'TestDatasetSignatureMatchesRunOne|TestTrainQuickScalePinnedDigests|TestCollectDatasetLabels|TestFastPathDatasetBitIdentical' ./internal/inject/ ./internal/experiments/
