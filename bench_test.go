@@ -418,6 +418,9 @@ func BenchmarkInjectionRun(b *testing.B) {
 // from machine reset, the pre-checkpoint engine). The K=1+recover variant
 // arms the microreboot recovery engine, so the cost of salvaging and
 // re-entering detected runs shows up next to the detection-only numbers.
+// Microreboot never restores, so it skips the per-activation recovery
+// snapshot; K=1+policy arms the default policy, which can restore, and so
+// prices that snapshot (an undo-journal mark at every VM exit).
 // The pool is built outside the timer, as RunCampaign builds it eagerly
 // before dispatching workers; plans replay the same seed in activation
 // order, matching the campaign claim loop.
@@ -431,6 +434,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		{"K=16", 16, ""},
 		{"K=off", -1, ""},
 		{"K=1+recover", 1, "microreboot"},
+		{"K=1+policy", 1, "policy"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			runner, err := inject.NewRunner(sim.DefaultConfig("postmark", 3), 160, nil)

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"xentry/internal/inject"
 	"xentry/internal/ml"
+	"xentry/internal/workload"
 )
 
 // Digests of the QuickScale training run, recorded before training-data
@@ -66,5 +68,77 @@ func TestTrainQuickScalePinnedDigests(t *testing.T) {
 	}
 	if got := hex.EncodeToString(sum[:]); got != pinnedModelSHA {
 		t.Errorf("model sha256 = %s, pinned %s", got, pinnedModelSHA)
+	}
+}
+
+// Report digests of three small recovery-armed campaigns, recorded before
+// the per-step recovery snapshot was rewritten as an undo journal. The
+// recovery differentials compare one engine configuration against
+// another; these constants do not move with the code, so a change to the
+// snapshot/restore machinery that shifts every side alike still fails
+// here.
+const (
+	pinnedRestoreReportSHA = "f8a7b11279b82f7cf1894ceaa35188881a38ee9f36e0587cb3cbc09d8edb9bd6"
+	pinnedPolicyReportSHA  = "573ba587a80efb6bf39a0accfa5399759acce5ffb928a65f22e2e13bf68b447e"
+	pinnedRecoverReportSHA = "e187be8ae8af54cf39a14a33b718a268c136cb1f696acda616cd24526466b6e6"
+)
+
+// TestRecoveryCampaignPinnedDigests pins the report bytes of the restore
+// strategy at 1 vCPU, the default policy at 4 vCPUs over all five site
+// classes, and the Section VI Runner.Recover path, each at a small scale
+// with the QuickScale model installed.
+func TestRecoveryCampaignPinnedDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and runs three campaigns")
+	}
+	res, err := Train(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := res.Best()
+	cases := []struct {
+		name    string
+		mutate  func(*Scale)
+		recover bool
+		want    string
+	}{
+		{"restore/1vcpu", func(sc *Scale) { sc.Recovery = "restore" }, false, pinnedRestoreReportSHA},
+		{"policy/4vcpu/all-sites", func(sc *Scale) {
+			sc.Recovery = "policy"
+			sc.VCPUs = 4
+			sc.Targets = []string{"gpr", "dtlb", "apic", "pmu", "pgtable"}
+		}, false, pinnedPolicyReportSHA},
+		{"section-vi", func(*Scale) {}, true, pinnedRecoverReportSHA},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := QuickScale()
+			sc.CampaignInjections = 60
+			sc.Workers = 2
+			tc.mutate(&sc)
+			cfg, err := CampaignConfigFor(sc, model, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Recover = tc.recover
+			out, err := inject.RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := NewCampaignReport(out, workload.Names())
+			data, err := rep.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			attempts := 0
+			if rep.Recovery != nil {
+				attempts = rep.Recovery.Attempts
+			}
+			t.Logf("%d injections, %d recovery attempts, %d recoveries", rep.Injections, attempts, out.Total.Recovered)
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("report sha256 = %s, pinned %s", got, tc.want)
+			}
+		})
 	}
 }

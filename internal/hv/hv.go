@@ -79,7 +79,9 @@ type Hypervisor struct {
 	extents      []progExtent
 	textDigest   uint64
 
-	tscSnaps []uint64
+	// snap is the one live-recovery snapshot Snapshot hands out, reused
+	// so per-step snapshotting allocates nothing.
+	snap Snap
 
 	// argScratch is the reusable word buffer PrepareGuestInput stages
 	// hypercall arguments in; staging runs once per simulated VM exit, so
@@ -187,7 +189,6 @@ func NewSMP(numDomains, vcpus int) (*Hypervisor, error) {
 		retToGuestHC: symtab["ret_to_guest_hypercall"],
 		extents:      extents,
 		textDigest:   digest,
-		tscSnaps:     make([]uint64, vcpus),
 	}
 
 	cpuidTable := map[uint64][4]uint64{
@@ -232,20 +233,23 @@ func (h *Hypervisor) initDomain(d *Domain) error {
 	if d.Privileged {
 		priv = 1
 	}
-	fields := map[uint64]uint64{
-		base + DomIDField:    uint64(d.ID),
-		base + DomNVcpus:     1,
-		base + DomTotPages:   4096,
-		base + DomMaxPages:   65536,
-		base + DomSharedInfo: SharedInfoAddr(d.ID),
-		base + DomPrivileged: priv,
-		base + DomEvtchnWord: EvtchnAddr(d.ID),
-	}
 	vb := VCPUAddr(d.VCPU)
-	fields[vb+VCPUDomID] = uint64(d.ID)
-	fields[vb+VCPUID] = uint64(d.VCPU)
-	for addr, val := range fields {
-		if err := h.Mem.Poke(addr, val); err != nil {
+	// An array, not a map: microreboots rerun this once per recovered
+	// injection, and the fields sit at distinct addresses, so write order
+	// is immaterial.
+	fields := [...]struct{ addr, val uint64 }{
+		{base + DomIDField, uint64(d.ID)},
+		{base + DomNVcpus, 1},
+		{base + DomTotPages, 4096},
+		{base + DomMaxPages, 65536},
+		{base + DomSharedInfo, SharedInfoAddr(d.ID)},
+		{base + DomPrivileged, priv},
+		{base + DomEvtchnWord, EvtchnAddr(d.ID)},
+		{vb + VCPUDomID, uint64(d.ID)},
+		{vb + VCPUID, uint64(d.VCPU)},
+	}
+	for _, f := range fields {
+		if err := h.Mem.Poke(f.addr, f.val); err != nil {
 			return err
 		}
 	}
@@ -489,42 +493,63 @@ func (h *Hypervisor) Dispatch(ev *ExitEvent, budget uint64) (Result, error) {
 	return res, nil
 }
 
+// ErrStaleSnap reports a Restore or Reinit from a Snap that no longer
+// names the hypervisor's live rewind point.
+var ErrStaleSnap = fmt.Errorf("hv: stale snapshot: %w", mem.ErrStaleMark)
+
 // Snap is a live-recovery snapshot: machine memory plus the TSC to rewind
 // to. Unlike Checkpoint it deliberately leaves the register file reset and
 // the accumulated cycle count alone — re-execution after a recovery is real
-// work whose cost must stay charged. Memory is captured through the same
-// copy-on-write page machinery as Checkpoint (one pointer per page instead
-// of the legacy word-copy maps), which is what makes per-step snapshotting
-// in recovery mode affordable.
+// work whose cost must stay charged. Memory is kept by the undo journal
+// (mem.Memory.Mark): nothing is copied at snapshot time, and each page
+// written afterwards is saved once, which is what makes per-step
+// snapshotting in recovery mode affordable.
+//
+// Each hypervisor owns one Snap, which Snapshot re-arms and returns, so a
+// pointer from an earlier Snapshot names the latest one. A Snap is valid
+// until the next Snapshot, Checkpoint, RestoreFrom or memory-level
+// checkpoint restore; Restore and Reinit from a stale one (or from another
+// hypervisor's) return ErrStaleSnap and change nothing. Restoring does not
+// retire it: a valid Snap may be restored repeatedly.
 type Snap struct {
-	mem  *mem.Checkpoint
+	h    *Hypervisor
+	mark uint64
 	tscs []uint64
 }
 
-// Snapshot captures machine memory and every CPU's TSC so repeated
-// injection runs can restart from an identical state.
+// Snapshot marks machine memory and records every CPU's TSC so the
+// current activation can be rewound and re-executed.
 func (h *Hypervisor) Snapshot() *Snap {
-	tscs := make([]uint64, len(h.CPUs))
-	for i, c := range h.CPUs {
-		tscs[i] = c.TSC
+	s := &h.snap
+	s.h = h
+	s.tscs = s.tscs[:0]
+	for _, c := range h.CPUs {
+		s.tscs = append(s.tscs, c.TSC)
 	}
-	copy(h.tscSnaps, tscs)
-	return &Snap{mem: h.Mem.Checkpoint(), tscs: tscs}
+	s.mark = h.Mem.Mark()
+	return s
+}
+
+// undo rewinds machine memory to snap's mark.
+func (h *Hypervisor) undo(snap *Snap) error {
+	if snap == nil || snap.h != h || h.Mem.Undo(snap.mark) != nil {
+		return ErrStaleSnap
+	}
+	return nil
 }
 
 // Checkpoint is a complete hypervisor-level machine image: the CPU's
-// architectural state, the PMU, the TSC shadow used by live recovery, and a
-// copy-on-write image of machine memory. Unlike the partial Snapshot/
-// Restore pair (memory + TSC only, used for live-recovery re-execution
-// whose cycle cost must stay charged), restoring a Checkpoint reproduces
-// the hypervisor bit-for-bit — the property the campaign engine's shared
-// checkpoint pool depends on. Checkpoints are immutable and safe to restore
-// into many hypervisors concurrently.
+// architectural state, the PMU, and a copy-on-write image of machine
+// memory. Unlike the partial Snapshot/Restore pair (memory + TSC only,
+// used for live-recovery re-execution whose cycle cost must stay charged),
+// restoring a Checkpoint reproduces the hypervisor bit-for-bit — the
+// property the campaign engine's shared checkpoint pool depends on.
+// Checkpoints are immutable and safe to restore into many hypervisors
+// concurrently.
 type Checkpoint struct {
-	cpus     []cpu.State
-	pmus     []perf.State
-	mem      *mem.Checkpoint
-	tscSnaps []uint64
+	cpus []cpu.State
+	pmus []perf.State
+	mem  *mem.Checkpoint
 }
 
 // MemImage exposes the checkpoint's copy-on-write memory image, the
@@ -538,10 +563,9 @@ func (cp *Checkpoint) MemImage() *mem.Checkpoint {
 // memory is captured copy-on-write (one pointer per page).
 func (h *Hypervisor) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
-		cpus:     make([]cpu.State, len(h.CPUs)),
-		pmus:     make([]perf.State, len(h.CPUs)),
-		mem:      h.Mem.Checkpoint(),
-		tscSnaps: append([]uint64(nil), h.tscSnaps...),
+		cpus: make([]cpu.State, len(h.CPUs)),
+		pmus: make([]perf.State, len(h.CPUs)),
+		mem:  h.Mem.Checkpoint(),
 	}
 	for i, c := range h.CPUs {
 		cp.cpus[i] = c.State()
@@ -563,16 +587,15 @@ func (h *Hypervisor) RestoreFrom(cp *Checkpoint) error {
 		c.RestoreState(cp.cpus[i])
 		c.PMU.RestoreState(cp.pmus[i])
 	}
-	copy(h.tscSnaps, cp.tscSnaps)
 	return nil
 }
 
 // Restore reinstates a Snapshot and resets every CPU's architectural
-// state. Accumulated cycles are preserved: restoration is used both for
-// repeatable injection runs and for live recovery re-execution, whose cost
-// is real.
+// state. Accumulated cycles are preserved: live recovery re-execution's
+// cost is real. Memory rewinds by copying back the pages written since the
+// snapshot, so the cost is one page copy per page written.
 func (h *Hypervisor) Restore(snap *Snap) error {
-	if err := h.Mem.RestoreCheckpoint(snap.mem); err != nil {
+	if err := h.undo(snap); err != nil {
 		return err
 	}
 	for i, c := range h.CPUs {

@@ -90,7 +90,7 @@ func (h *Hypervisor) validateSalvage(saved []guestVisible) error {
 // the MMIO window) and the current guest-visible state — VCPU words,
 // event-channel words, shared-info pages, guest buffers — is written back
 // on top, so work the guests completed since the snapshot survives the
-// reboot.
+// reboot. A stale snap fails with ErrStaleSnap before memory is touched.
 func (h *Hypervisor) Reinit(snap *Snap) error {
 	if cap(h.salvageScratch) < len(h.Domains) {
 		h.salvageScratch = make([]guestVisible, len(h.Domains))
@@ -128,7 +128,7 @@ func (h *Hypervisor) Reinit(snap *Snap) error {
 				return fmt.Errorf("hv: reinit: saving guest buf %d: %w", d.ID, err)
 			}
 		}
-		if err := h.Mem.RestoreCheckpoint(snap.mem); err != nil {
+		if err := h.undo(snap); err != nil {
 			return fmt.Errorf("hv: reinit: restoring snapshot: %w", err)
 		}
 		for i, d := range h.Domains {

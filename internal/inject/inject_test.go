@@ -8,6 +8,7 @@ import (
 
 	"xentry/internal/core"
 	"xentry/internal/guest"
+	"xentry/internal/hv"
 	"xentry/internal/isa"
 	"xentry/internal/ml"
 	"xentry/internal/sim"
@@ -267,5 +268,39 @@ func TestRunOneRejectsBadPlan(t *testing.T) {
 	r := testRunner(t, "mcf", nil)
 	if _, err := r.RunOne(Plan{Activation: 999}); err == nil {
 		t.Error("out-of-range plan accepted")
+	}
+}
+
+// TestPostFlipQueriesAllocationFree: until a register flip's fate is
+// decided, the injection hook fetches the next instruction and asks
+// whether it reads or writes the flipped register — once per executed
+// instruction. Over the whole linked handler text and every flippable
+// register, that per-instruction work must not allocate.
+func TestPostFlipQueriesAllocationFree(t *testing.T) {
+	h, err := hv.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := h.Seg
+	decided := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		for pc := seg.Base; pc < seg.End(); pc += isa.InstrBytes {
+			in, ok := seg.InstrAt(pc)
+			if !ok {
+				continue
+			}
+			for reg := isa.Reg(0); reg < isa.NumReg; reg++ {
+				if in.ReadsReg(reg) || in.WritesReg(reg) {
+					decided++
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("post-flip queries allocate %.0f times per pass over %d instructions, want 0",
+			allocs, seg.Len())
+	}
+	if decided == 0 {
+		t.Fatal("no instruction reads or writes any register")
 	}
 }

@@ -88,22 +88,63 @@ func (in Instr) Writes() []Reg {
 	return nil
 }
 
-// ReadsReg reports whether the instruction reads r.
+// ReadsReg reports whether the instruction reads r. It is Reads without
+// the slice: the injection hook asks it on every instruction after a
+// register flip, so it must not allocate. TestRegQueriesMatchSets holds
+// the two in agreement over every opcode and register.
 func (in Instr) ReadsReg(r Reg) bool {
-	for _, x := range in.Reads() {
-		if x == r {
-			return true
-		}
+	switch in.Op {
+	case OpMov, OpOut:
+		return r == in.Src
+	case OpPush:
+		return r == in.Src || r == RSP
+	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
+		OpCmp, OpTest, OpAssertRange:
+		return r == in.Dst || r == in.Src
+	case OpAddImm, OpSubImm, OpAndImm, OpOrImm, OpXorImm, OpShlImm, OpShrImm,
+		OpCmpImm, OpTestImm, OpJmpReg, OpAssertEq, OpAssertNe, OpAssertLe, OpAssertGe:
+		return r == in.Dst
+	case OpJe, OpJne, OpJl, OpJle, OpJg, OpJge, OpJb, OpJae, OpJs, OpJns:
+		return r == RFLAGS
+	case OpLoop:
+		return r == RCX
+	case OpCall, OpRet, OpPop:
+		return r == RSP
+	case OpLoad:
+		return r == in.Base
+	case OpStore:
+		return r == in.Src || r == in.Base
+	case OpRepMovs:
+		return r == RCX || r == RSI || r == RDI
+	case OpCpuid:
+		return r == RAX
 	}
 	return false
 }
 
-// WritesReg reports whether the instruction writes r.
+// WritesReg reports whether the instruction writes r: Writes without the
+// slice, allocation-free like ReadsReg.
 func (in Instr) WritesReg(r Reg) bool {
-	for _, x := range in.Writes() {
-		if x == r {
-			return true
-		}
+	switch in.Op {
+	case OpMovImm, OpMov, OpLoad:
+		return r == in.Dst
+	case OpPop:
+		return r == in.Dst || r == RSP
+	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
+		OpAddImm, OpSubImm, OpAndImm, OpOrImm, OpXorImm, OpShlImm, OpShrImm:
+		return r == in.Dst || r == RFLAGS
+	case OpCmp, OpCmpImm, OpTest, OpTestImm:
+		return r == RFLAGS
+	case OpLoop:
+		return r == RCX
+	case OpCall, OpRet, OpPush:
+		return r == RSP
+	case OpRepMovs:
+		return r == RCX || r == RSI || r == RDI
+	case OpCpuid:
+		return r == RAX || r == RBX || r == RCX || r == RDX
+	case OpRdtsc:
+		return r == RAX || r == RDX
 	}
 	return false
 }

@@ -86,3 +86,70 @@ func TestALUWritesFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRegQueriesMatchSets holds the allocation-free ReadsReg/WritesReg to
+// the slice-building Reads/Writes they replace on the hot path: every
+// opcode (plus one past the last) × every queried register, with each
+// operand field in turn naming the queried register.
+func TestRegQueriesMatchSets(t *testing.T) {
+	regs := []Reg{NoReg}
+	for r := Reg(0); r < NumReg; r++ {
+		regs = append(regs, r)
+	}
+	contains := func(set []Reg, r Reg) bool {
+		for _, x := range set {
+			if x == r {
+				return true
+			}
+		}
+		return false
+	}
+	for op := Op(0); op <= NumOps; op++ {
+		for _, r := range regs {
+			for _, in := range []Instr{
+				{Op: op, Dst: NoReg, Src: NoReg, Base: NoReg},
+				{Op: op, Dst: RAX, Src: RBX, Base: RSI},
+				{Op: op, Dst: r, Src: R10, Base: R11},
+				{Op: op, Dst: R10, Src: r, Base: R11},
+				{Op: op, Dst: R10, Src: R11, Base: r},
+			} {
+				if got, want := in.ReadsReg(r), contains(in.Reads(), r); got != want {
+					t.Errorf("%+v ReadsReg(%v) = %v, Reads() = %v", in, r, got, in.Reads())
+				}
+				if got, want := in.WritesReg(r), contains(in.Writes(), r); got != want {
+					t.Errorf("%+v WritesReg(%v) = %v, Writes() = %v", in, r, got, in.Writes())
+				}
+			}
+		}
+	}
+}
+
+// TestRegQueriesAllocationFree: the post-flip injection hook calls these
+// once per instruction, so they must not touch the heap.
+func TestRegQueriesAllocationFree(t *testing.T) {
+	ins := []Instr{
+		{Op: OpAdd, Dst: RAX, Src: RBX},
+		{Op: OpPush, Src: RBP},
+		{Op: OpPop, Dst: RBP},
+		{Op: OpStore, Src: RAX, Base: RDI},
+		{Op: OpRepMovs},
+		{Op: OpCpuid},
+	}
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, in := range ins {
+			for r := Reg(0); r < NumReg; r++ {
+				if in.ReadsReg(r) {
+					sink++
+				}
+				if in.WritesReg(r) {
+					sink++
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadsReg/WritesReg allocate %.1f times per run, want 0", allocs)
+	}
+	_ = sink
+}

@@ -10,7 +10,9 @@ package mem
 // the free list (RestoreCheckpoint recycles only unshared pages, and both
 // Checkpoint and RestoreCheckpoint mark every live page shared), so
 // pointer equality between two images implies content equality and the
-// hash can be reused without touching the page.
+// hash can be reused without touching the page. The undo journal keeps
+// this: Undo copies words back only into pages its guard already
+// privatized.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -112,15 +114,15 @@ func (cp *Checkpoint) FoldFrom(prev *Checkpoint) uint64 {
 // TLBHash summarizes the D-TLB's *incoherent* entries — armed slots whose
 // tag no longer resolves to the very page object the entry caches. In a
 // fault-free machine that set is always empty: installPage only arms a
-// slot over the private current page of the tag's own window, cowPage
-// never repoints a private page, and every repointing or sharing boundary
-// (Map, Checkpoint, RestoreCheckpoint, Restore) invalidates the whole
-// cache — so the only way an entry turns incoherent is FlipTLBTag, the
-// injected soft error. Hashing the poison alone (slot and tag) makes the
-// value independent of cache warmth and of the checkpoint interval: a
-// warm-but-coherent TLB is observationally identical to a cold one and
-// both hash to zero, which is what lets the convergence fingerprint fold
-// this in without tying outcomes to K.
+// slot over the written current page of the tag's own window, cowPage
+// never repoints a private page, and every repointing, sharing or journal
+// boundary (Map, Checkpoint, RestoreCheckpoint, Restore, Mark, Undo)
+// invalidates the whole cache — so the only way an entry turns incoherent
+// is FlipTLBTag, the injected soft error. Hashing the poison alone (slot
+// and tag) makes the value independent of cache warmth and of the
+// checkpoint interval: a warm-but-coherent TLB is observationally
+// identical to a cold one and both hash to zero, which is what lets the
+// convergence fingerprint fold this in without tying outcomes to K.
 func (m *Memory) TLBHash() uint64 {
 	h := uint64(fnvOffset64)
 	poisoned := false
@@ -142,7 +144,8 @@ func (m *Memory) TLBHash() uint64 {
 }
 
 // tlbCoherent reports whether an armed entry still caches the current
-// private page of its tag's 512-byte window. lookupSlow keeps the entry's
+// page of its tag's 512-byte window, and that page is one installPage
+// could arm (written this epoch). lookupSlow keeps the entry's
 // region half consistent with its page half (a region refill drops the
 // page), so the tag resolves within e.region or not at all.
 func (m *Memory) tlbCoherent(e *tlbEntry) bool {
@@ -160,7 +163,7 @@ func (m *Memory) tlbCoherent(e *tlbEntry) bool {
 	}
 	p := (addr - r.Start) >> tlbByteShift
 	pg := r.pages[p]
-	return !r.shared[p] && len(pg) == pageWords && (*[pageWords]uint64)(pg) == e.page
+	return r.stamp[p] == r.epoch && len(pg) == pageWords && (*[pageWords]uint64)(pg) == e.page
 }
 
 // FoldFrom hashes the Memory's live pages without taking a checkpoint,

@@ -9,10 +9,13 @@
 // Region contents are stored as fixed-size pages with copy-on-write
 // sharing, so a full-memory Checkpoint costs one pointer copy per page and
 // many machines can be restored from the same checkpoint concurrently —
-// the substrate the campaign engine's checkpoint pool stands on.
+// the substrate the campaign engine's checkpoint pool stands on. Live
+// recovery's short-lived rewind points use the cheaper undo journal
+// instead (Mark/Undo): it saves only the pages written after the mark.
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -127,6 +130,22 @@ type Region struct {
 	// private once per boundary epoch. RestoreCheckpoint uses it to restore
 	// only the touched pages when rolling back to the same checkpoint.
 	dirty []uint32
+
+	// epoch and stamp form the one first-write guard: stamp[p] == epoch
+	// records that page p has been written since the last boundary, which
+	// makes it private (copied out of any checkpoint) and, while the undo
+	// journal is armed, saved. Every boundary that shares or journals
+	// pages — Checkpoint, RestoreCheckpoint, Mark, Undo — advances the
+	// epoch in O(1), so the guard needs no per-page pass; the stamp
+	// predicate is also the D-TLB page fast path's install rule.
+	epoch uint64
+	stamp []uint64
+	// armed says Mark's undo journal is live: the guard then appends each
+	// page's pre-write words to saved (its index to savedPages) before
+	// the first write lands. Both buffers are reused across marks.
+	armed      bool
+	savedPages []uint32
+	saved      []uint64
 }
 
 // End returns the first address past the region.
@@ -154,28 +173,41 @@ func (r *Region) word(i uint64) uint64 {
 	return r.pages[i>>pageShift][i&pageMask]
 }
 
-// setWord writes word index i, copying the page first if it is shared with
-// a checkpoint (copy-on-write). Copies reuse recycled pages when possible.
+// setWord writes word index i, passing the first-write guard first.
 func (r *Region) setWord(i, v uint64) {
 	p := i >> pageShift
-	if r.shared[p] {
-		r.cowPage(p)
+	if r.stamp[p] != r.epoch {
+		r.firstWrite(p)
 	}
 	r.pages[p][i&pageMask] = v
 }
 
-// writablePage returns page p ready for mutation, privatizing it first if
-// it is still shared with a checkpoint.
+// writablePage returns page p ready for mutation.
 func (r *Region) writablePage(p uint64) []uint64 {
-	if r.shared[p] {
-		r.cowPage(p)
+	if r.stamp[p] != r.epoch {
+		r.firstWrite(p)
 	}
 	return r.pages[p]
 }
 
+// firstWrite is the guard's slow side, run once per page per epoch before
+// the write lands: it journals the page's words when the undo journal is
+// armed, privatizes the page when it is shared with a checkpoint
+// (copy-on-write), and stamps it. Outlined so the stamped store path
+// inlines into its callers.
+func (r *Region) firstWrite(p uint64) {
+	if r.armed {
+		r.savedPages = append(r.savedPages, uint32(p))
+		r.saved = append(r.saved, r.pages[p]...)
+	}
+	if r.shared[p] {
+		r.cowPage(p)
+	}
+	r.stamp[p] = r.epoch
+}
+
 // cowPage privatizes a checkpoint-shared page before its first write,
 // popping a recycled page when one is available and allocating otherwise.
-// Outlined from setWord so the no-copy store path inlines into Store.
 func (r *Region) cowPage(p uint64) {
 	old := r.pages[p]
 	var np []uint64
@@ -218,16 +250,17 @@ const TLBSlots = tlbSize
 //     entry is installed only when every check it skips is statically
 //     satisfied: the region is PermRW, its Start is 512-byte aligned (so
 //     the window maps to exactly one full page), the page is full-size,
-//     and the page is private (not shared with any Checkpoint — writing a
-//     shared page in place would corrupt the checkpoint image). tag is
-//     the address's page number; page != nil && tag match is the hit
-//     condition, so a zeroed entry is invalid.
+//     and the page has passed its first-write guard this epoch (so it is
+//     private — writing a shared page in place would corrupt the
+//     checkpoint image — and, with the undo journal armed, already
+//     saved). tag is the address's page number; page != nil && tag match
+//     is the hit condition, so a zeroed entry is invalid.
 //
-// The page pointer can only go stale when pages are repointed or become
-// shared: Checkpoint, RestoreCheckpoint, Restore, and Map all invalidate
-// the whole TLB; cowPage only ever repoints *shared* pages, which are
-// never cached; Region.Zero clears contents in place through the COW
-// path instead of repointing.
+// The page pointer can only go stale when pages are repointed, become
+// shared, or enter a new journal epoch: Checkpoint, RestoreCheckpoint,
+// Mark, Undo, Restore, and Map all invalidate the whole TLB; cowPage only
+// ever repoints *shared* pages, which are never cached; Region.Zero clears
+// contents in place through the guard instead of repointing.
 type tlbEntry struct {
 	region *Region
 	page   *[pageWords]uint64
@@ -245,8 +278,8 @@ type Memory struct {
 	// checks. It is pure cache: hits are verified or pre-verified at
 	// install time, so a stale entry is a miss, never a wrong answer. It
 	// is nevertheless invalidated at every structural change point (Map,
-	// Restore, Checkpoint, RestoreCheckpoint) to keep the invariant
-	// auditable.
+	// Restore, Checkpoint, RestoreCheckpoint, Mark, Undo) to keep the
+	// invariant auditable.
 	tlb [tlbSize]tlbEntry
 
 	// DisableTLB forces every access through the binary search — the
@@ -263,6 +296,72 @@ type Memory struct {
 	// pages can differ from the image, so the restore walks the journal
 	// instead of every page.
 	lastCP *Checkpoint
+
+	// mark names the armed undo journal (see Mark); zero when disarmed.
+	// marks counts every Mark ever taken, so a token is never reissued.
+	mark, marks uint64
+}
+
+// ErrStaleMark reports an Undo to a mark that is no longer the memory's
+// live one: a later Mark, Checkpoint, RestoreCheckpoint, Restore or Map
+// has superseded it.
+var ErrStaleMark = errors.New("mem: stale undo mark")
+
+// Mark arms the undo journal at the current contents and returns its
+// token. From here on the first write to each page copies the page's
+// words into the region's reusable save buffer before the write lands,
+// so Undo can put them back. Marking costs a D-TLB invalidation (cached
+// pages must pass the guard again) and an O(1) epoch step per region —
+// no per-page pass, no allocation once the buffers have grown. A new Mark
+// supersedes the previous one; Checkpoint, RestoreCheckpoint, Restore and
+// Map disarm the journal. lastCP and the dirty journal are untouched.
+func (m *Memory) Mark() uint64 {
+	m.InvalidateTLB()
+	m.marks++
+	m.mark = m.marks
+	for _, r := range m.regions {
+		r.armed = true
+		r.newEpoch()
+	}
+	return m.mark
+}
+
+// Undo rolls memory back to the contents at mark: every page saved since
+// then gets its words copied back in place (saved pages are private, so
+// no checkpoint image is touched), the D-TLB is invalidated, and a new
+// epoch starts with the same mark still armed, so Undo may be repeated.
+// It returns ErrStaleMark, changing nothing, when mark is not the live one.
+func (m *Memory) Undo(mark uint64) error {
+	if mark == 0 || mark != m.mark {
+		return ErrStaleMark
+	}
+	m.InvalidateTLB()
+	for _, r := range m.regions {
+		off := 0
+		for _, p := range r.savedPages {
+			off += copy(r.pages[p], r.saved[off:])
+		}
+		r.newEpoch()
+	}
+	return nil
+}
+
+// disarm retires the undo journal: called at every boundary that makes
+// the live mark meaningless (Checkpoint, RestoreCheckpoint, Restore, Map).
+func (m *Memory) disarm() {
+	m.mark = 0
+	for _, r := range m.regions {
+		r.armed = false
+		r.savedPages = r.savedPages[:0]
+		r.saved = r.saved[:0]
+	}
+}
+
+// newEpoch unstamps every page at once and empties the save buffers.
+func (r *Region) newEpoch() {
+	r.epoch++
+	r.savedPages = r.savedPages[:0]
+	r.saved = r.saved[:0]
 }
 
 // New returns an empty memory map.
@@ -313,7 +412,7 @@ func (m *Memory) installPage(e *tlbEntry, r *Region, addr uint64) {
 		return
 	}
 	p := (addr - r.Start) / 8 >> pageShift
-	if r.shared[p] || len(r.pages[p]) != pageWords {
+	if r.stamp[p] != r.epoch || len(r.pages[p]) != pageWords {
 		return
 	}
 	e.page = (*[pageWords]uint64)(r.pages[p])
@@ -349,7 +448,7 @@ func (m *Memory) Map(name string, start, size uint64, perm Perm) (*Region, error
 	size = (size + 7) &^ 7
 	pages := newPages(size / 8)
 	r := &Region{Name: name, Start: start, Size: size, Perm: perm,
-		pages: pages, shared: make([]bool, len(pages))}
+		pages: pages, shared: make([]bool, len(pages)), stamp: make([]uint64, len(pages))}
 	for _, other := range m.regions {
 		if start < other.End() && other.Start < r.End() {
 			return nil, fmt.Errorf("mem: region %q [%#x,%#x) overlaps %q [%#x,%#x)",
@@ -359,6 +458,7 @@ func (m *Memory) Map(name string, start, size uint64, perm Perm) (*Region, error
 	m.regions = append(m.regions, r)
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Start < m.regions[j].Start })
 	m.InvalidateTLB()
+	m.disarm()
 	m.lastCP = nil // any prior checkpoint no longer covers the layout
 	return r, nil
 }
@@ -492,8 +592,8 @@ func (m *Memory) Store(addr, val uint64) FaultKind {
 	return m.storeSlow(e, addr, val)
 }
 
-// storeSlow is Store's page-miss path: the COW copy, if one is due,
-// happens here before the write and before the page fast path is armed.
+// storeSlow is Store's page-miss path: the first-write guard, if due,
+// runs here before the write and before the page fast path is armed.
 func (m *Memory) storeSlow(e *tlbEntry, addr, val uint64) FaultKind {
 	if addr%8 != 0 {
 		return FaultUnaligned
@@ -507,12 +607,7 @@ func (m *Memory) storeSlow(e *tlbEntry, addr, val uint64) FaultKind {
 	if r.Perm&PermWrite == 0 {
 		return FaultProtection
 	}
-	i := (addr - r.Start) / 8
-	p := i >> pageShift
-	if r.shared[p] {
-		r.cowPage(p)
-	}
-	r.pages[p][i&pageMask] = val
+	r.setWord((addr-r.Start)/8, val)
 	m.installPage(e, r, addr)
 	return FaultNone
 }
@@ -604,10 +699,10 @@ func (m *Memory) PokeRange(addr uint64, vals []uint64) error {
 // Snapshot copies the full contents of every region, keyed by region name.
 //
 // Deprecated: Snapshot/Restore predate the copy-on-write Checkpoint API
-// and cost a full word copy of every region. All production paths
-// (campaign checkpoint pool, live recovery) now use Checkpoint/
-// RestoreCheckpoint; the flat pair remains only as an independently
-// implemented oracle for the checkpoint equivalence tests.
+// and cost a full word copy of every region. The campaign checkpoint pool
+// uses Checkpoint/RestoreCheckpoint and live recovery uses Mark/Undo; the
+// flat pair remains only as an independently implemented oracle for the
+// checkpoint and undo-journal equivalence tests.
 func (m *Memory) Snapshot() map[string][]uint64 {
 	snap := make(map[string][]uint64, len(m.regions))
 	for _, r := range m.regions {
@@ -627,6 +722,7 @@ func (m *Memory) Snapshot() map[string][]uint64 {
 // Deprecated: see Snapshot.
 func (m *Memory) Restore(snap map[string][]uint64) error {
 	m.InvalidateTLB()
+	m.disarm()
 	m.lastCP = nil // pages are rebuilt fresh below; no checkpoint derivation
 	for _, r := range m.regions {
 		r.dirty = r.dirty[:0]
@@ -643,6 +739,10 @@ func (m *Memory) Restore(snap map[string][]uint64) error {
 		}
 		r.pages = pages
 		r.shared = make([]bool, len(pages))
+		// Fresh private pages count as written this epoch, exactly as
+		// Map's do.
+		r.epoch = 0
+		clear(r.stamp)
 	}
 	return nil
 }
@@ -671,11 +771,13 @@ func (m *Memory) Checkpoint() *Checkpoint {
 	// only ever installed over private pages) must be dropped: a write
 	// through a stale page pointer would mutate the checkpoint image.
 	m.InvalidateTLB()
+	m.disarm()
 	cp := &Checkpoint{pages: make(map[string][][]uint64, len(m.regions))}
 	for _, r := range m.regions {
 		for i := range r.shared {
 			r.shared[i] = true
 		}
+		r.epoch++
 		pages := make([][]uint64, len(r.pages))
 		copy(pages, r.pages)
 		cp.pages[r.Name] = pages
@@ -695,6 +797,7 @@ func (m *Memory) Checkpoint() *Checkpoint {
 // proportional to the touched page set instead of the whole machine.
 func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 	m.InvalidateTLB()
+	m.disarm()
 	if m.lastCP == cp {
 		for _, r := range m.regions {
 			pages := cp.pages[r.Name]
@@ -711,6 +814,7 @@ func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 				r.shared[p] = true
 			}
 			r.dirty = r.dirty[:0]
+			r.epoch++
 		}
 		return nil
 	}
@@ -735,14 +839,16 @@ func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 			r.shared[i] = true
 		}
 		r.dirty = r.dirty[:0]
+		r.epoch++
 	}
 	m.lastCP = cp
 	return nil
 }
 
 // Zero clears a region's contents. Pages are cleared in place through the
-// copy-on-write path (shared pages are privatized first), never repointed,
-// so cached page translations in any owning Memory's D-TLB stay valid.
+// first-write guard (shared pages are privatized, armed pages journaled),
+// never repointed, so cached page translations in any owning Memory's
+// D-TLB stay valid.
 func (r *Region) Zero() {
 	for p := range r.pages {
 		pg := r.writablePage(uint64(p))

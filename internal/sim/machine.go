@@ -377,10 +377,13 @@ func (m *Machine) Step() (Activation, error) {
 	var snap *hv.Snap
 	if m.RecoverOnDetection || (m.Recovery != nil && m.Recovery.MayRestore()) {
 		// Preserve the critical data and the VM exit reason at every VM
-		// exit (paper Section VI). An engine that can never decide
+		// exit (paper Section VI). The snapshot is an undo-journal mark:
+		// it costs a D-TLB invalidation now and one page copy per page
+		// the activation writes. An engine that can never decide
 		// StrategyRestore never reads the snapshot (microreboot rebuilds
-		// from scratch), so arming one skips this — the snapshot is the
-		// dominant per-step cost of recovery-armed execution.
+		// from scratch), so arming one skips this — the invalidation alone
+		// would change which D-TLB slots hold pages, and with them the
+		// outcomes of dtlb plans.
 		snap = m.HV.Snapshot()
 	}
 	out, err := m.Sentry.Execute(ev, hv.DefaultBudget)

@@ -43,6 +43,12 @@ go test -run '^$' -fuzz FuzzDecodeTree -fuzztime 15s ./internal/ml/
 # out-of-range or truncated blocks without panicking.
 go test -run FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
+# Undo-journal fuzzing: live recovery's per-activation rewind point must
+# restore exactly the flat-snapshot image, refuse stale marks, leave
+# checkpoint images alone, and never arm the D-TLB page fast path over a
+# page not yet written since the last boundary.
+go test -run FuzzUndoJournal ./internal/mem/
+go test -run '^$' -fuzz FuzzUndoJournal -fuzztime 15s ./internal/mem/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Session-kill burst: whether a killed session's queued ShardDone reaches
 # the ingest goroutine before or after the kill depends on timing, so one
@@ -53,7 +59,10 @@ go test -race -count=20 -run 'TestEngineKillWorkerBitIdentical' ./internal/serve
 # be deterministic (including under the race detector's schedule
 # perturbation), and the outcome-class mix must stay honest (nonzero
 # full AND failed). Focused runs so a recovery regression names itself.
+# The pinned digests are the bit-identity oracle for the restore, policy
+# and Section VI snapshot/restore path; stale snapshots must be refused.
 go test -run 'Recovery|Microreboot|Reinit' ./internal/inject/ ./internal/hv/ ./internal/store/
+go test -run 'TestRecoveryCampaignPinnedDigests' ./internal/experiments/
 go test ./internal/recovery/
 go test -race -run 'Microreboot' ./internal/inject/
 # SMP bit-identity burst: the legacy single-CPU register campaign must
