@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xentry/internal/cpu"
+	"xentry/internal/detect"
 	"xentry/internal/hv"
 	"xentry/internal/isa"
 	"xentry/internal/ml"
@@ -237,11 +238,13 @@ func TestTechniqueStrings(t *testing.T) {
 	}
 }
 
+// TestFatalExceptionFilter checks the exception filter the sentry's
+// runtime detector applies.
 func TestFatalExceptionFilter(t *testing.T) {
-	if FatalException(nil) {
+	if detect.FatalException(nil) {
 		t.Error("nil exception cannot be fatal")
 	}
-	if !FatalException(&cpu.Exception{Vector: cpu.VecPF}) {
+	if !detect.FatalException(&cpu.Exception{Vector: cpu.VecPF}) {
 		t.Error("surfacing #PF must be fatal (benign ones are fixed up)")
 	}
 }

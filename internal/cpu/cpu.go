@@ -75,12 +75,6 @@ const (
 	FetchMisaligned
 )
 
-// TextMap resolves instruction addresses; the hypervisor loader provides it.
-type TextMap interface {
-	// FetchInstr returns the instruction at addr.
-	FetchInstr(addr uint64) (isa.Instr, FetchResult)
-}
-
 // StopReason says why a Run returned.
 type StopReason int
 
@@ -135,8 +129,8 @@ type CPU struct {
 
 	// Mem is the data memory map.
 	Mem *mem.Memory
-	// Text resolves instruction fetches.
-	Text TextMap
+	// Text is the linked text segment instructions are fetched from.
+	Text *Segment
 	// PMU is the performance counter bank fed at retirement.
 	PMU *perf.Counters
 
@@ -164,26 +158,20 @@ type CPU struct {
 	// rest of the execution.
 	PreStep func(step uint64, pc uint64)
 
-	// DisableThreaded pins untraced execution to the switch-era fast loop
-	// (runFast over the shared semantics table) instead of the
-	// direct-threaded code. The dual-dispatch differential tests and the
-	// benchmark's /switch variant use it to hold the threaded translator
-	// to the interpreter bit for bit.
-	DisableThreaded bool
-
-	// ForceSlow forces the seed-equivalent slow path: instruction fetch
-	// through the Text interface on every step, the hook check inside the
-	// loop, and a per-instruction PMU flush. The fast/slow differential
-	// tests run whole campaigns under it to prove the fast path changes
-	// no architectural outcome.
+	// ForceSlow selects the reference stepper (runSlow): an instruction
+	// copy-fetched from Text on every step, the hook check inside the
+	// loop, dispatch through the semantics table, and a per-instruction
+	// PMU flush. The fast/slow differential tests run whole campaigns
+	// under it to prove the threaded path changes no architectural
+	// outcome.
 	ForceSlow bool
 
-	// fetchBuf holds the instruction fetched through the TextMap interface
-	// on the slow/traced/non-Segment paths. step passes instructions by
-	// pointer into the semantics table, an indirect call the escape
-	// analyzer cannot see through; fetching into a loop-local would heap-
-	// allocate one Instr per dynamic instruction. The buffer lives on the
-	// (already heap-resident) CPU instead and is dead outside step.
+	// fetchBuf holds the instruction runSlow copy-fetches. step passes
+	// instructions by pointer into the semantics table, an indirect call
+	// the escape analyzer cannot see through; fetching into a loop-local
+	// would heap-allocate one Instr per dynamic instruction. The buffer
+	// lives on the (already heap-resident) CPU instead and is dead outside
+	// step.
 	fetchBuf isa.Instr
 
 	// pend accumulates performance-counter retirement between flushes.
@@ -194,8 +182,8 @@ type CPU struct {
 	pend perf.Sample
 }
 
-// New returns a CPU bound to the given memory, text map and PMU.
-func New(m *mem.Memory, text TextMap, pmu *perf.Counters) *CPU {
+// New returns a CPU bound to the given memory, text segment and PMU.
+func New(m *mem.Memory, text *Segment, pmu *perf.Counters) *CPU {
 	return &CPU{Mem: m, Text: text, PMU: pmu, CpuidTable: map[uint64][4]uint64{}}
 }
 
@@ -262,19 +250,17 @@ var (
 // Run executes from the current RIP until VM entry, halt, exception, failed
 // assertion, or budget exhaustion.
 //
-// The loop is split four ways. runThreaded is the steady state when Text is
-// a concrete *Segment (the hypervisor always loads into one): untraced
-// direct-threaded execution over the segment's translated op closures.
-// runFast is the same untraced loop over the semantics table — the
-// dispatcher the differential harness holds runThreaded against
-// (DisableThreaded), and the fallback for non-Segment text maps. runTraced
-// runs only while PreStep is armed and hands the remaining budget to the
-// untraced loop the moment the hook disarms itself — which the injector
+// There is one production stepper and one reference stepper. In
+// production, runThreaded is the steady state: untraced direct-threaded
+// execution over the segment's translated op closures. runTraced runs
+// only while PreStep is armed and hands the remaining budget to
+// runThreaded the moment the hook disarms itself — which the injector
 // does as soon as the flip's fate is decided, so a traced injection run
-// still spends almost all of its instructions on threaded code. runSlow is
-// the seed-equivalent path behind ForceSlow, kept so differential tests can
-// prove the fast paths bit-identical. All paths flush pending PMU counts
-// exactly once, at stop, before any caller can observe the counter bank.
+// still spends almost all of its instructions on threaded code. runSlow
+// is the reference stepper behind ForceSlow, kept so differential tests
+// can prove the production path bit-identical. All paths flush pending
+// PMU counts exactly once, at stop, before any caller can observe the
+// counter bank.
 func (c *CPU) Run(budget uint64) RunResult {
 	if c.ForceSlow {
 		// runSlow flushes per instruction and charges INST_RETIRED itself.
@@ -282,10 +268,9 @@ func (c *CPU) Run(budget uint64) RunResult {
 		c.flushPMU()
 		return rr
 	}
-	seg, _ := c.Text.(*Segment)
 	var prefix uint64
 	if c.PreStep != nil {
-		rr, done := c.runTraced(budget, seg)
+		rr, done := c.runTraced(budget)
 		if done {
 			c.pend[perf.InstRetired] += rr.Steps
 			c.flushPMU()
@@ -293,12 +278,7 @@ func (c *CPU) Run(budget uint64) RunResult {
 		}
 		prefix = rr.Steps
 	}
-	var rr RunResult
-	if seg != nil && !c.DisableThreaded {
-		rr = c.runThreaded(budget-prefix, seg)
-	} else {
-		rr = c.runFast(budget-prefix, seg)
-	}
+	rr := c.runThreaded(budget - prefix)
 	rr.Steps += prefix
 	// INST_RETIRED advances once per retired instruction — the quantity
 	// Steps totals — so it is charged here in bulk (see retire).
@@ -336,38 +316,13 @@ func stepStop(err error, steps, pc uint64) RunResult {
 	}
 }
 
-// runFast is the untraced hot loop: no PreStep check per iteration, and a
-// direct (devirtualized, inlinable) fetch when the text map is a *Segment.
-func (c *CPU) runFast(budget uint64, seg *Segment) RunResult {
-	var steps uint64
-	for steps < budget {
-		pc := c.Regs[isa.RIP]
-		var in *isa.Instr
-		var fr FetchResult
-		if seg != nil {
-			in, fr = seg.FetchPtr(pc)
-		} else {
-			c.fetchBuf, fr = c.Text.FetchInstr(pc)
-			in = &c.fetchBuf
-		}
-		if fr != FetchOK {
-			return fetchStop(fr, pc, steps)
-		}
-		retired, err := c.step(pc, in, budget-steps)
-		steps += retired
-		if err != nil {
-			return stepStop(err, steps, pc)
-		}
-	}
-	return RunResult{Reason: StopBudget, Steps: steps}
-}
-
 // runTraced runs while PreStep is armed. It re-reads the hook every
 // iteration: when the hook disarms itself (sets PreStep to nil), runTraced
 // returns done=false with the steps consumed so far and Run continues the
-// remaining budget on runFast. The disarm check happens only while
-// steps < budget, so the fast loop always receives a budget of at least one.
-func (c *CPU) runTraced(budget uint64, seg *Segment) (RunResult, bool) {
+// remaining budget on runThreaded. The disarm check happens only while
+// steps < budget, so the threaded loop always receives a budget of at
+// least one.
+func (c *CPU) runTraced(budget uint64) (RunResult, bool) {
 	var steps uint64
 	for steps < budget {
 		hook := c.PreStep
@@ -377,14 +332,7 @@ func (c *CPU) runTraced(budget uint64, seg *Segment) (RunResult, bool) {
 		pc := c.Regs[isa.RIP]
 		hook(steps, pc)
 		pc = c.Regs[isa.RIP] // injection may have flipped RIP
-		var in *isa.Instr
-		var fr FetchResult
-		if seg != nil {
-			in, fr = seg.FetchPtr(pc)
-		} else {
-			c.fetchBuf, fr = c.Text.FetchInstr(pc)
-			in = &c.fetchBuf
-		}
+		in, fr := c.Text.FetchPtr(pc)
 		if fr != FetchOK {
 			return fetchStop(fr, pc, steps), true
 		}
@@ -397,11 +345,13 @@ func (c *CPU) runTraced(budget uint64, seg *Segment) (RunResult, bool) {
 	return RunResult{Reason: StopBudget, Steps: steps}, true
 }
 
-// runSlow is the seed interpreter loop, preserved verbatim behind ForceSlow:
-// hook check inside the loop, fetch through the Text interface, and a PMU
-// flush after every instruction so counters advance exactly as the original
-// per-retire Count calls did. Differential tests run entire campaigns here
-// and assert outcomes identical to the fast path.
+// runSlow is the reference stepper, the seed interpreter loop preserved
+// behind ForceSlow: hook check inside the loop, an instruction copy-fetched
+// per step (not the pointer the production loops take, nor the threaded
+// translation), and a PMU flush after every instruction so counters
+// advance exactly as the original per-retire Count calls did. Differential
+// tests run entire campaigns here and assert outcomes identical to the
+// production path.
 func (c *CPU) runSlow(budget uint64) RunResult {
 	var steps uint64
 	for steps < budget {

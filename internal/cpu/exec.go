@@ -186,9 +186,9 @@ func (c *CPU) storeFault(addr, val, pc uint64, stack bool) error {
 // The table is the single home of per-op behaviour: step (and through it
 // the traced and forced-slow loops) dispatches every instruction here, and
 // the threaded translator compiles its generic closures over the very same
-// entries — so an opcode's semantics cannot drift between dispatchers. The
+// entries — so an opcode's semantics cannot drift between steppers. The
 // translator's specialized closures (threaded.go) restate the hot forms
-// with pre-decoded operands; FuzzThreadedVsSwitch holds them to this table.
+// with pre-decoded operands; FuzzThreadedVsSlow holds them to this table.
 type semFn func(c *CPU, in *isa.Instr, pc, next, budget uint64) (uint64, error)
 
 // semTable maps every opcode to its semantics; semFor guards the lookup.

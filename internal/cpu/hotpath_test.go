@@ -105,20 +105,18 @@ func TestSegmentSharedAcrossCPUs(t *testing.T) {
 }
 
 // BenchmarkCPURunHot measures the interpreter's per-instruction cost on
-// the handler-shaped loop across the three dispatchers: fast (direct-
-// threaded translation), switch (the devirtualized semantics-table loop
-// with threading disabled — the pre-threading fast path), and slow (the
-// seed-equivalent differential loop). The fast path must not allocate.
+// the handler-shaped loop on both steppers: fast (the direct-threaded
+// production stepper) and slow (the reference stepper over uncached
+// memory). The fast path must not allocate.
 func BenchmarkCPURunHot(b *testing.B) {
 	const budget = 4096
 	for _, bc := range []struct {
-		name             string
-		slow, noThreaded bool
-	}{{"fast", false, false}, {"switch", false, true}, {"slow", true, false}} {
+		name string
+		slow bool
+	}{{"fast", false}, {"slow", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := hotCPU(b)
 			c.ForceSlow = bc.slow
-			c.DisableThreaded = bc.noThreaded
 			c.Mem.DisableTLB = bc.slow
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -7,10 +7,10 @@ import (
 	"xentry/internal/isa"
 )
 
-// Segment is a contiguous text segment implementing TextMap. The hypervisor
-// loader concatenates every handler program into one segment so that a
-// corrupted RIP can land on *another* handler's valid instruction — the
-// valid-but-incorrect control flow the paper's VM transition detection
+// Segment is a contiguous text segment, the CPU's instruction map. The
+// hypervisor loader concatenates every handler program into one segment so
+// that a corrupted RIP can land on *another* handler's valid instruction —
+// the valid-but-incorrect control flow the paper's VM transition detection
 // targets — as well as off-boundary (#UD) or outside text entirely (#PF).
 type Segment struct {
 	// Base is the segment's first virtual address.
@@ -32,7 +32,8 @@ func (s *Segment) End() uint64 {
 // Len returns the number of instructions in the segment.
 func (s *Segment) Len() int { return len(s.instrs) }
 
-// FetchInstr implements TextMap.
+// FetchInstr returns a copy of the instruction at addr: the reference
+// stepper's fetch.
 func (s *Segment) FetchInstr(addr uint64) (isa.Instr, FetchResult) {
 	if addr < s.Base || addr >= s.End() {
 		return isa.Instr{}, FetchUnmapped
@@ -46,8 +47,9 @@ func (s *Segment) FetchInstr(addr uint64) (isa.Instr, FetchResult) {
 
 // FetchPtr is FetchInstr without the instruction copy: it returns a pointer
 // into the segment's instruction slice. Instructions are immutable after
-// linking, so the pointee must be treated as read-only. The run loops use
-// it so each fetch costs a bounds check and a pointer, not a struct copy.
+// linking, so the pointee must be treated as read-only. The traced loop
+// uses it so each fetch costs a bounds check and a pointer, not a struct
+// copy.
 func (s *Segment) FetchPtr(addr uint64) (*isa.Instr, FetchResult) {
 	if addr < s.Base || addr >= s.End() {
 		return nil, FetchUnmapped

@@ -45,10 +45,11 @@ import (
 // Threaded execution is a pure dispatch-layer change: same retirement
 // totals, same flag/register write order, same exception identity and
 // RIP-on-stop placement, same budget semantics as the semantics table in
-// exec.go — and FuzzThreadedVsSwitch plus the dual-dispatch differentials
-// in internal/inject hold it to that. The traced and forced-slow loops
-// keep dispatching through semTable, so PreStep hooks and ForceSlow
-// differentials observe the seed interpreter bit-for-bit.
+// exec.go — and FuzzThreadedVsSlow plus the fast/slow campaign
+// differentials in internal/inject hold it to that against the reference
+// stepper. The traced and reference loops keep dispatching through
+// semTable, so PreStep hooks and ForceSlow differentials observe the seed
+// interpreter bit-for-bit.
 
 // opFn executes one translated instruction (or fused pair). budget is the
 // remaining instruction budget, always ≥ 1; only the rep-string body and
@@ -116,7 +117,7 @@ func translate(s *Segment) []opFn {
 	return code
 }
 
-// runThreaded is the untraced steady-state loop over a translated segment.
+// runThreaded is the untraced steady-state loop over the translated text.
 // Fetch-fault classification matches Segment.FetchInstr: out-of-segment
 // first (#PF), then off-boundary (#UD). The off computation relies on
 // uint64 underflow to fold pc < Base into the single bounds test, and the
@@ -124,9 +125,9 @@ func translate(s *Segment) []opFn {
 // the dispatch load. RIP is materialized at the two places the loop makes
 // it observable: budget exhaustion and fetch faults; closures handle their
 // own stop paths.
-func (c *CPU) runThreaded(budget uint64, seg *Segment) RunResult {
-	code := seg.threadedCode()
-	base := seg.Base
+func (c *CPU) runThreaded(budget uint64) RunResult {
+	code := c.Text.threadedCode()
+	base := c.Text.Base
 	limit := uint64(len(code)) * isa.InstrBytes
 	pc := c.Regs[isa.RIP]
 	var steps uint64

@@ -10,12 +10,11 @@ import (
 	"xentry/internal/perf"
 )
 
-// This file is the dual-dispatch differential harness for the direct-
-// threaded translator: every program must produce bit-identical
-// architectural state — registers, RIP, RFLAGS, TSC, cycle count, PMU
-// counters, memory image, and the RunResult itself — no matter which of
-// the three dispatchers executes it (threaded closures, the devirtualized
-// semantics-table loop, or the seed-equivalent slow loop).
+// This file is the differential harness for the direct-threaded
+// translator: every program must produce bit-identical architectural
+// state — registers, RIP, RFLAGS, TSC, cycle count, PMU counters, memory
+// image, and the RunResult itself — on the threaded closures and on the
+// reference stepper (the seed-equivalent slow loop over uncached memory).
 
 const (
 	fuzzBase     = 0x4000  // text segment base
@@ -98,18 +97,18 @@ type archState struct {
 	mem    map[string][]uint64
 }
 
-// execVariant runs instrs from identical initial state under one
-// dispatcher configuration and returns the final architectural state.
-func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDispatch, slow bool) archState {
+// execVariant runs instrs from identical initial state on the threaded
+// stepper or, with slow set, the reference stepper, and returns the final
+// architectural state.
+func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, slow bool) archState {
 	seg := &Segment{Base: fuzzBase, instrs: instrs}
 	m := mem.New()
 	m.MustMap("data", fuzzData, fuzzDataSize, mem.PermRW)
 	m.MustMap("ro", fuzzRO, fuzzROSize, mem.PermRead)
 	c := New(m, seg, perf.New())
 	c.AssertsEnabled = asserts
-	c.DisableThreaded = switchDispatch
 	c.ForceSlow = slow
-	c.Mem.DisableTLB = slow // slow variant also takes the uncached memory path
+	c.Mem.DisableTLB = slow // the reference also takes the uncached memory path
 	c.CpuidTable[0] = [4]uint64{0x1234, 0x5678, 0x9abc, 0xdef0}
 
 	// Deterministic register mix: in-region aligned pointers, maybe-
@@ -165,22 +164,20 @@ func diffStates(t *testing.T, label string, got, want archState) {
 	}
 }
 
-// checkAllDispatchers runs one program under all three dispatchers and
-// a spread of budgets (including every seam of the fused bodies) and
-// demands bit-identical outcomes.
+// checkAllDispatchers runs one program on the threaded and the reference
+// stepper at a spread of budgets (including every seam of the fused
+// bodies) and demands bit-identical outcomes.
 func checkAllDispatchers(t *testing.T, instrs []isa.Instr, seed byte, budgets []uint64, asserts bool) {
 	t.Helper()
 	for _, budget := range budgets {
-		ref := execVariant(instrs, seed, budget, asserts, true, false)
-		thr := execVariant(instrs, seed, budget, asserts, false, false)
-		slw := execVariant(instrs, seed, budget, asserts, false, true)
-		diffStates(t, labelFor("threaded", budget), thr, ref)
-		diffStates(t, labelFor("slow", budget), slw, ref)
+		thr := execVariant(instrs, seed, budget, asserts, false)
+		ref := execVariant(instrs, seed, budget, asserts, true)
+		diffStates(t, labelFor(budget), thr, ref)
 	}
 }
 
-func labelFor(name string, budget uint64) string {
-	return name + " vs switch @budget=" + uitoa(budget)
+func labelFor(budget uint64) string {
+	return "threaded vs slow @budget=" + uitoa(budget)
 }
 
 func uitoa(v uint64) string {
@@ -197,11 +194,11 @@ func uitoa(v uint64) string {
 	return string(buf[i:])
 }
 
-// FuzzThreadedVsSwitch generates random programs and differentially
-// executes them under the threaded translator, the switch-dispatch fast
-// interpreter, and the slow loop. Any divergence in result, registers,
-// timing, PMU counts, or memory is a bug in the translator.
-func FuzzThreadedVsSwitch(f *testing.F) {
+// FuzzThreadedVsSlow generates random programs and differentially
+// executes them under the threaded translator and the reference stepper.
+// Any divergence in result, registers, timing, PMU counts, or memory is a
+// bug in the translator.
+func FuzzThreadedVsSlow(f *testing.F) {
 	// enc builds one instruction's fuzz encoding for seed corpora.
 	enc := func(op isa.Op, b1, b2, b3 byte) []byte {
 		for i, o := range fuzzOps {
@@ -361,7 +358,7 @@ func TestTranslationVersionEviction(t *testing.T) {
 // shared Segment so several translate() calls overlap (benign duplicate
 // publication) while others execute freshly published code, at budgets
 // that land on every fused-body seam. Run under -race in CI; results
-// must also match a single-threaded switch-dispatch reference.
+// must also match the reference stepper.
 func TestConcurrentTranslationRace(t *testing.T) {
 	prog := hotProgram()
 	const workers = 16
@@ -385,11 +382,12 @@ func TestConcurrentTranslationRace(t *testing.T) {
 				rm := mem.New()
 				rm.MustMap("data", fuzzData, fuzzDataSize, mem.PermRW)
 				ref := New(rm, seg, perf.New())
-				ref.DisableThreaded = true
+				ref.ForceSlow = true
+				ref.Mem.DisableTLB = true
 				ref.Regs[isa.RIP] = symtab["hot"]
 				ref.Run(budget)
 				if c.Regs != ref.Regs || c.TSC != ref.TSC || c.Cycles != ref.Cycles {
-					t.Errorf("worker %d (budget %d): threaded diverges from switch dispatch", g, budget)
+					t.Errorf("worker %d (budget %d): threaded diverges from the reference stepper", g, budget)
 				}
 			}(g)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"xentry/internal/inject"
@@ -112,33 +113,103 @@ func TestRecoveryCampaignPinnedDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := QuickScale()
-			sc.CampaignInjections = 60
-			sc.Workers = 2
-			tc.mutate(&sc)
-			cfg, err := CampaignConfigFor(sc, model, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Recover = tc.recover
-			out, err := inject.RunCampaign(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := NewCampaignReport(out, workload.Names())
-			data, err := rep.EncodeJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, out, rep := pinnedCampaign(t, model, tc.mutate, tc.recover)
 			attempts := 0
 			if rep.Recovery != nil {
 				attempts = rep.Recovery.Attempts
 			}
 			t.Logf("%d injections, %d recovery attempts, %d recoveries", rep.Injections, attempts, out.Total.Recovered)
-			sum := sha256.Sum256(data)
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
+			if got != tc.want {
 				t.Errorf("report sha256 = %s, pinned %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// pinnedCampaign runs the pinned-digest harness: the QuickScale settings
+// with 60 injections per benchmark and 2 workers, adjusted by mutate,
+// with model installed. It returns the SHA-256 of the encoded report
+// next to the campaign result and the report.
+func pinnedCampaign(t *testing.T, model *ml.Tree, mutate func(*Scale), recover bool) (string, *inject.CampaignResult, *CampaignReport) {
+	t.Helper()
+	sc := QuickScale()
+	sc.CampaignInjections = 60
+	sc.Workers = 2
+	mutate(&sc)
+	cfg, err := CampaignConfigFor(sc, model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recover = recover
+	out, err := inject.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewCampaignReport(out, workload.Names())
+	data, err := rep.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), out, rep
+}
+
+// Report digests of a campaign matrix, recorded where the default
+// stepper and detection pipeline agreed cell for cell with the retired
+// legacy-detection and switch-dispatch oracles, and (outside dtlb cells)
+// with the slow reference stepper. They stand in for those differentials:
+// a change to the interpreter or the detection pipeline that shifts any
+// cell fails here.
+var pinnedMatrixReportSHA = map[string]string{
+	"seed7/1vcpu/gpr":       "d1ed1c5a8341fcd03687f0e139b69109e0f2a998bf57d8e4cb02a35cee59bbcc",
+	"seed7/4vcpu/gpr":       "60ca7d1bbfe3bde89bc7fae017f9f641953fdc4ee0839b9a648cff82d13fcf0d",
+	"seed7/4vcpu/uncore":    "c02e48f17fc1c42efb2efc799b06391771ac31b6c91c9e58c8af13ec26b7efc5",
+	"seed7/4vcpu/dtlb":      "0816a6b1ca9f52c64c5df2d539c5da45adb6f2d4bfc8c742e14f503442292962",
+	"seed7/4vcpu/all":       "585ed8bf4fbdaf8b7ac4935602094948ed3a1e766ba4f159f944964cafdade8c",
+	"seed1234/1vcpu/gpr":    "066db2be3013f0e2679eb754ea43a9aad97763b6d3a5841316a384a4e499fda0",
+	"seed1234/4vcpu/gpr":    "62a1142135bdf1b061d325a403f99712211cb38a88730e9d8fc62eee1ef11d79",
+	"seed1234/4vcpu/uncore": "3aa0d0b2ae206268ad765f37c16a311d521d498dae67848c088d0a5a4b22858f",
+	"seed1234/4vcpu/dtlb":   "3088cdf47b3a1b0759112e2fb0e7740a1864f6cef3f8f820b49a75576f352b10",
+	"seed1234/4vcpu/all":    "9ecebb5a267ae76fc11291aec0de49f84d2f411b1cbbb909f1e55adb40961628",
+}
+
+// TestCampaignMatrixPinnedDigests pins the report bytes of seeds 7 and
+// 1234 across 1-vCPU gpr, 4-vCPU gpr, 4-vCPU gpr plus the uncore sites
+// (apic, pmu, pgtable), 4-vCPU dtlb, and 4-vCPU over all five site
+// classes, each at a small scale with the QuickScale model installed.
+func TestCampaignMatrixPinnedDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and runs ten campaigns")
+	}
+	res, err := Train(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := res.Best()
+	cells := []struct {
+		name    string
+		vcpus   int
+		targets []string
+	}{
+		{"1vcpu/gpr", 1, []string{"gpr"}},
+		{"4vcpu/gpr", 4, []string{"gpr"}},
+		{"4vcpu/uncore", 4, []string{"gpr", "apic", "pmu", "pgtable"}},
+		{"4vcpu/dtlb", 4, []string{"dtlb"}},
+		{"4vcpu/all", 4, []string{"gpr", "dtlb", "apic", "pmu", "pgtable"}},
+	}
+	for _, seed := range []int64{7, 1234} {
+		for _, c := range cells {
+			name := fmt.Sprintf("seed%d/%s", seed, c.name)
+			t.Run(name, func(t *testing.T) {
+				got, _, _ := pinnedCampaign(t, model, func(sc *Scale) {
+					sc.Seed = seed
+					sc.VCPUs = c.vcpus
+					sc.Targets = c.targets
+				}, false)
+				if want := pinnedMatrixReportSHA[name]; got != want {
+					t.Errorf("report sha256 = %s, pinned %s", got, want)
+				}
+			})
+		}
 	}
 }

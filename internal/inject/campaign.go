@@ -46,27 +46,18 @@ type CampaignConfig struct {
 	// benchmarks), e.g. for a live throughput display. It is called
 	// concurrently from worker goroutines and must be safe for that.
 	Progress func(done, total int)
-	// SlowPath forces the seed-equivalent interpreter slow path on every
-	// simulated machine. Outcomes are bit-identical either way (the
-	// differential tests prove it); the switch exists for them and for
-	// perf triage.
+	// SlowPath runs every simulated machine on the reference stepper over
+	// uncached memory (see sim.Config.SlowPath); the switch exists for the
+	// differential tests and for perf triage. Outcomes are bit-identical
+	// either way for every fault site but the D-TLB, which the uncached
+	// path does not have: a campaign with SlowPath and a "dtlb" target
+	// fails with ErrSlowPathDTLB.
 	SlowPath bool
-	// SwitchDispatch disables the direct-threaded translator on every
-	// simulated machine, running the fast interpreter through the
-	// semantics-table switch instead. Outcomes are bit-identical either
-	// way (the dual-dispatch differential tests prove it).
-	SwitchDispatch bool
 	// Detectors builds plugin detectors on every campaign machine,
 	// appended behind the built-in pipeline (see sim.Config.Detectors).
 	// Their verdicts tally under their registered techniques with no
 	// changes to the aggregation or rendering layers.
 	Detectors []detect.Factory
-	// LegacyDetection routes every machine through the seed's
-	// hard-coded detection switch instead of the pipeline; for the
-	// built-in configuration outcomes are bit-identical either way (the
-	// differential tests prove it). Plugin detectors are ignored on the
-	// legacy path.
-	LegacyDetection bool
 	// DisablePrune forces every injection to execute its full activation
 	// budget instead of dead-value pre-pruning and convergence early exit
 	// (see Runner.DisablePrune). Like CheckpointEvery it is pure

@@ -32,16 +32,9 @@ type DatasetConfig struct {
 	// Workers is ignored: collection walks benchmarks one at a time (a
 	// walk per goroutine raised peak RSS by a tenth).
 	Workers int
-	// SlowPath forces the seed-equivalent interpreter slow path; dataset
-	// bytes are bit-identical either way (the differential tests prove it).
+	// SlowPath runs every machine on the reference stepper; dataset bytes
+	// are bit-identical either way (the differential tests prove it).
 	SlowPath bool
-	// SwitchDispatch disables the direct-threaded translator; dataset
-	// bytes are bit-identical either way (the differential tests prove it).
-	SwitchDispatch bool
-	// LegacyDetection routes every machine through the seed's hard-coded
-	// detection switch; dataset bytes are bit-identical either way (the
-	// differential tests prove it).
-	LegacyDetection bool
 }
 
 // DefaultDatasetConfig sizes collection for a quick but representative
@@ -80,14 +73,12 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 	var dataset ml.Dataset
 	for bi, bench := range cfg.Benchmarks {
 		simCfg := sim.Config{
-			Benchmark:       bench,
-			Mode:            cfg.Mode,
-			Domains:         3,
-			Seed:            cfg.Seed + int64(bi)*1543,
-			Detection:       core.FullDetection(),
-			SlowPath:        cfg.SlowPath,
-			SwitchDispatch:  cfg.SwitchDispatch,
-			LegacyDetection: cfg.LegacyDetection,
+			Benchmark: bench,
+			Mode:      cfg.Mode,
+			Domains:   3,
+			Seed:      cfg.Seed + int64(bi)*1543,
+			Detection: core.FullDetection(),
+			SlowPath:  cfg.SlowPath,
 		}
 		// No model installed — this is the data the model will be trained
 		// on. The runner's golden run is fault-free run 0.

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -22,11 +23,11 @@ func diffCampaign() CampaignConfig {
 	}
 }
 
-// TestFastPathCampaignBitIdentical is the tentpole's proof obligation: the
-// devirtualized fetch, D-TLB, batched PMU retirement, and PreStep disarm
-// change no architectural outcome. The same campaign runs on the fast path
-// and on the seed-equivalent forced-slow path; every tally must match
-// exactly.
+// TestFastPathCampaignBitIdentical holds the production stepper to the
+// reference: threaded dispatch, pointer fetch, D-TLB, batched PMU
+// retirement, and PreStep disarm change no architectural outcome. The same
+// campaign runs on the fast path and on the seed-equivalent forced-slow
+// path; every tally must match exactly.
 func TestFastPathCampaignBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign differential")
@@ -52,7 +53,7 @@ func TestFastPathCampaignBitIdentical(t *testing.T) {
 	}
 
 	// The slow path with checkpointing disabled is the seed configuration
-	// verbatim: straight-line re-simulation, interface fetch, per-access
+	// verbatim: straight-line re-simulation, copy fetch, per-access
 	// region search, per-instruction PMU retirement.
 	seed := run(func(c *CampaignConfig) { c.SlowPath = true; c.CheckpointEvery = -1 })
 	if !reflect.DeepEqual(fast, seed) {
@@ -122,5 +123,36 @@ func TestFastPathDatasetBitIdentical(t *testing.T) {
 				t.Fatalf("sample %d diverges:\nfast %+v\nslow %+v", i, fast[i], slow[i])
 			}
 		}
+	}
+}
+
+// TestSlowPathRefusesDTLB: the reference stepper runs memory uncached, so
+// the D-TLB fault site does not exist on it. A campaign that would draw
+// dtlb plans there is refused with ErrSlowPathDTLB at every entry point
+// that validates a campaign, instead of silently measuring an inert site.
+func TestSlowPathRefusesDTLB(t *testing.T) {
+	cfg := diffCampaign()
+	cfg.InjectionsPerBenchmark = 4
+	cfg.VCPUs = 4
+	cfg.Targets = []string{"gpr", " DTLB"}
+	cfg.SlowPath = true
+	if _, err := RunCampaign(cfg); !errors.Is(err, ErrSlowPathDTLB) {
+		t.Errorf("RunCampaign: err = %v, want ErrSlowPathDTLB", err)
+	}
+	if _, err := PrepareBenchmark(cfg, 0); !errors.Is(err, ErrSlowPathDTLB) {
+		t.Errorf("PrepareBenchmark: err = %v, want ErrSlowPathDTLB", err)
+	}
+	if _, err := PreparePlans(cfg, 0); !errors.Is(err, ErrSlowPathDTLB) {
+		t.Errorf("PreparePlans: err = %v, want ErrSlowPathDTLB", err)
+	}
+
+	// Either half alone is a valid campaign.
+	cfg.Targets = []string{"gpr"}
+	if _, err := PreparePlans(cfg, 0); err != nil {
+		t.Errorf("SlowPath with gpr targets: %v", err)
+	}
+	cfg.Targets, cfg.SlowPath = []string{"dtlb"}, false
+	if _, err := PreparePlans(cfg, 0); err != nil {
+		t.Errorf("dtlb targets on the production stepper: %v", err)
 	}
 }

@@ -38,16 +38,14 @@ type BenchmarkRun struct {
 func (cfg CampaignConfig) BenchmarkSim(bi int) sim.Config {
 	cfg = cfg.Normalized()
 	return sim.Config{
-		Benchmark:       cfg.Benchmarks[bi],
-		Mode:            cfg.Mode,
-		Domains:         3,
-		Seed:            cfg.Seed + int64(bi)*7919,
-		VCPUs:           cfg.VCPUs,
-		Detection:       cfg.Detection,
-		Detectors:       cfg.Detectors,
-		SlowPath:        cfg.SlowPath,
-		SwitchDispatch:  cfg.SwitchDispatch,
-		LegacyDetection: cfg.LegacyDetection,
+		Benchmark: cfg.Benchmarks[bi],
+		Mode:      cfg.Mode,
+		Domains:   3,
+		Seed:      cfg.Seed + int64(bi)*7919,
+		VCPUs:     cfg.VCPUs,
+		Detection: cfg.Detection,
+		Detectors: cfg.Detectors,
+		SlowPath:  cfg.SlowPath,
 	}
 }
 
@@ -61,7 +59,7 @@ func PrepareBenchmark(cfg CampaignConfig, bi int) (*BenchmarkRun, error) {
 		return nil, fmt.Errorf("inject: benchmark index %d out of range [0,%d)", bi, len(cfg.Benchmarks))
 	}
 	bench := cfg.Benchmarks[bi]
-	if err := ValidateTargets(cfg.Targets, cfg.VCPUs); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	runner, err := NewRunner(cfg.BenchmarkSim(bi), cfg.Activations, cfg.Model)
@@ -107,7 +105,7 @@ func PreparePlans(cfg CampaignConfig, bi int) ([]Plan, error) {
 	if bi < 0 || bi >= len(cfg.Benchmarks) {
 		return nil, fmt.Errorf("inject: benchmark index %d out of range [0,%d)", bi, len(cfg.Benchmarks))
 	}
-	if err := ValidateTargets(cfg.Targets, cfg.VCPUs); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	runner, err := NewRunner(cfg.BenchmarkSim(bi), cfg.Activations, nil)

@@ -10,7 +10,9 @@ package inject
 // unchanged.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -138,6 +140,25 @@ func ValidateTargets(targets []string, vcpus int) error {
 		if t == "apic" && vcpus < 2 {
 			return fmt.Errorf("inject: target \"apic\" requires an SMP machine (vcpus >= 2)")
 		}
+	}
+	return nil
+}
+
+// ErrSlowPathDTLB refuses a campaign that draws D-TLB plans on the
+// reference stepper. SlowPath runs memory uncached, so the D-TLB fault
+// site does not exist there: every dtlb flip would land in an entry no
+// access reads, and the campaign would silently measure a different
+// fault space.
+var ErrSlowPathDTLB = errors.New(`inject: SlowPath runs without a D-TLB; target "dtlb" cannot be injected on it`)
+
+// validate checks a normalized campaign's targets against its machine:
+// ValidateTargets, plus ErrSlowPathDTLB.
+func (cfg CampaignConfig) validate() error {
+	if err := ValidateTargets(cfg.Targets, cfg.VCPUs); err != nil {
+		return err
+	}
+	if cfg.SlowPath && slices.Contains(cfg.Targets, "dtlb") {
+		return ErrSlowPathDTLB
 	}
 	return nil
 }

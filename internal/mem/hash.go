@@ -116,8 +116,8 @@ func (cp *Checkpoint) FoldFrom(prev *Checkpoint) uint64 {
 // fault-free machine that set is always empty: installPage only arms a
 // slot over the written current page of the tag's own window, cowPage
 // never repoints a private page, and every repointing, sharing or journal
-// boundary (Map, Checkpoint, RestoreCheckpoint, Restore, Mark, Undo)
-// invalidates the whole cache — so the only way an entry turns incoherent
+// boundary (Map, Checkpoint, RestoreCheckpoint, Mark, Undo) invalidates
+// the whole cache — so the only way an entry turns incoherent
 // is FlipTLBTag, the injected soft error. Hashing the poison alone (slot
 // and tag) makes the value independent of cache warmth and of the
 // checkpoint interval: a warm-but-coherent TLB is observationally

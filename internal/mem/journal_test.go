@@ -189,11 +189,10 @@ func (f *journalFuzz) run(ops []byte) {
 
 // FuzzUndoJournal decodes random sequences of stores, pokes, zeroes and
 // loads mixed with checkpoints, checkpoint restores, marks and undos.
-// After every undo memory must equal the deprecated flat Snapshot taken at
-// the mark; an undo to a stale mark must fail with ErrStaleMark and change
-// nothing; checkpoint images must be untouched by the journal; and no
-// page may arm the D-TLB fast path before its first write since the last
-// boundary.
+// After every undo memory must equal the flat Snapshot taken at the mark;
+// an undo to a stale mark must fail with ErrStaleMark and change nothing;
+// checkpoint images must be untouched by the journal; and no page may arm
+// the D-TLB fast path before its first write since the last boundary.
 func FuzzUndoJournal(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 1, 5, 5, 0, 1, 0, 9, 0, 0, 0})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 3, 1, 8, 0, 0, 0, 0, 0, 3, 2, 9, 0, 0, 0, 5, 0, 3, 0, 7, 0, 0, 0, 10, 0, 0, 0})

@@ -258,7 +258,7 @@ const TLBSlots = tlbSize
 //
 // The page pointer can only go stale when pages are repointed, become
 // shared, or enter a new journal epoch: Checkpoint, RestoreCheckpoint,
-// Mark, Undo, Restore, and Map all invalidate the whole TLB; cowPage only
+// Mark, Undo, and Map all invalidate the whole TLB; cowPage only
 // ever repoints *shared* pages, which are never cached; Region.Zero clears
 // contents in place through the guard instead of repointing.
 type tlbEntry struct {
@@ -278,20 +278,21 @@ type Memory struct {
 	// checks. It is pure cache: hits are verified or pre-verified at
 	// install time, so a stale entry is a miss, never a wrong answer. It
 	// is nevertheless invalidated at every structural change point (Map,
-	// Restore, Checkpoint, RestoreCheckpoint, Mark, Undo) to keep the
-	// invariant auditable.
+	// Checkpoint, RestoreCheckpoint, Mark, Undo) to keep the invariant
+	// auditable.
 	tlb [tlbSize]tlbEntry
 
 	// DisableTLB forces every access through the binary search — the
-	// pre-TLB slow path. The fast/slow differential tests flip it to prove
-	// the cache is observationally invisible. Call InvalidateTLB when
+	// pre-TLB slow path, which the reference stepper takes (the D-TLB
+	// fault site does not exist there). The fast/slow differential tests
+	// flip it to prove the cache is observationally invisible. Call InvalidateTLB when
 	// setting it after accesses have already warmed the cache: the hot
 	// probe in Load/Store does not re-check the flag on a hit.
 	DisableTLB bool
 
 	// lastCP is the checkpoint this memory's pages currently derive from:
 	// set by Checkpoint and RestoreCheckpoint, cleared by any structural
-	// change (Map, the deprecated Restore). When RestoreCheckpoint is asked
+	// change (Map). When RestoreCheckpoint is asked
 	// to roll back to exactly this checkpoint, only the journaled dirty
 	// pages can differ from the image, so the restore walks the journal
 	// instead of every page.
@@ -303,8 +304,8 @@ type Memory struct {
 }
 
 // ErrStaleMark reports an Undo to a mark that is no longer the memory's
-// live one: a later Mark, Checkpoint, RestoreCheckpoint, Restore or Map
-// has superseded it.
+// live one: a later Mark, Checkpoint, RestoreCheckpoint or Map has
+// superseded it.
 var ErrStaleMark = errors.New("mem: stale undo mark")
 
 // Mark arms the undo journal at the current contents and returns its
@@ -313,8 +314,8 @@ var ErrStaleMark = errors.New("mem: stale undo mark")
 // so Undo can put them back. Marking costs a D-TLB invalidation (cached
 // pages must pass the guard again) and an O(1) epoch step per region —
 // no per-page pass, no allocation once the buffers have grown. A new Mark
-// supersedes the previous one; Checkpoint, RestoreCheckpoint, Restore and
-// Map disarm the journal. lastCP and the dirty journal are untouched.
+// supersedes the previous one; Checkpoint, RestoreCheckpoint and Map
+// disarm the journal. lastCP and the dirty journal are untouched.
 func (m *Memory) Mark() uint64 {
 	m.InvalidateTLB()
 	m.marks++
@@ -347,7 +348,7 @@ func (m *Memory) Undo(mark uint64) error {
 }
 
 // disarm retires the undo journal: called at every boundary that makes
-// the live mark meaningless (Checkpoint, RestoreCheckpoint, Restore, Map).
+// the live mark meaningless (Checkpoint, RestoreCheckpoint, Map).
 func (m *Memory) disarm() {
 	m.mark = 0
 	for _, r := range m.regions {
@@ -697,12 +698,10 @@ func (m *Memory) PokeRange(addr uint64, vals []uint64) error {
 }
 
 // Snapshot copies the full contents of every region, keyed by region name.
-//
-// Deprecated: Snapshot/Restore predate the copy-on-write Checkpoint API
-// and cost a full word copy of every region. The campaign checkpoint pool
-// uses Checkpoint/RestoreCheckpoint and live recovery uses Mark/Undo; the
-// flat pair remains only as an independently implemented oracle for the
-// checkpoint and undo-journal equivalence tests.
+// No production path uses it: the campaign checkpoint pool uses
+// Checkpoint/RestoreCheckpoint and live recovery uses Mark/Undo. It is a
+// flat image built independently of both, the oracle the undo-journal
+// fuzzer and the cpu, sim and hv equivalence tests compare memory against.
 func (m *Memory) Snapshot() map[string][]uint64 {
 	snap := make(map[string][]uint64, len(m.regions))
 	for _, r := range m.regions {
@@ -713,38 +712,6 @@ func (m *Memory) Snapshot() map[string][]uint64 {
 		snap[r.Name] = words
 	}
 	return snap
-}
-
-// Restore reinstates a snapshot taken from the same layout. Pages are
-// rebuilt fresh so checkpointed pages shared with other machines are never
-// written in place.
-//
-// Deprecated: see Snapshot.
-func (m *Memory) Restore(snap map[string][]uint64) error {
-	m.InvalidateTLB()
-	m.disarm()
-	m.lastCP = nil // pages are rebuilt fresh below; no checkpoint derivation
-	for _, r := range m.regions {
-		r.dirty = r.dirty[:0]
-		words, ok := snap[r.Name]
-		if !ok {
-			return fmt.Errorf("mem: snapshot missing region %q", r.Name)
-		}
-		if uint64(len(words)) != r.Size/8 {
-			return fmt.Errorf("mem: snapshot size mismatch for region %q", r.Name)
-		}
-		pages := newPages(r.Size / 8)
-		for i, p := range pages {
-			copy(p, words[i*pageWords:])
-		}
-		r.pages = pages
-		r.shared = make([]bool, len(pages))
-		// Fresh private pages count as written this epoch, exactly as
-		// Map's do.
-		r.epoch = 0
-		clear(r.stamp)
-	}
-	return nil
 }
 
 // Checkpoint is an immutable copy-on-write image of a Memory's full

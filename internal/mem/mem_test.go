@@ -121,42 +121,6 @@ func TestPokePeekBypassPermissions(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	m := New()
-	m.MustMap("a", 0x1000, 64, PermRW)
-	m.MustMap("b", 0x2000, 64, PermRW)
-	if err := m.Write64(0x1000, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	if err := m.Write64(0x1000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write64(0x2000, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Read64(0x1000); v != 1 {
-		t.Errorf("restored a[0] = %d, want 1", v)
-	}
-	if v, _ := m.Read64(0x2000); v != 0 {
-		t.Errorf("restored b[0] = %d, want 0", v)
-	}
-}
-
-func TestRestoreMismatch(t *testing.T) {
-	m := New()
-	m.MustMap("a", 0x1000, 64, PermRW)
-	if err := m.Restore(map[string][]uint64{}); err == nil {
-		t.Error("expected missing-region error")
-	}
-	if err := m.Restore(map[string][]uint64{"a": make([]uint64, 1)}); err == nil {
-		t.Error("expected size-mismatch error")
-	}
-}
-
 func TestRegionZero(t *testing.T) {
 	m := New()
 	r := m.MustMap("a", 0x1000, 64, PermRW)
@@ -347,39 +311,6 @@ func TestCheckpointLayoutMismatch(t *testing.T) {
 	bigger.MustMap("a", 0x1000, 0x1000, PermRW)
 	if err := bigger.RestoreCheckpoint(cp); err == nil {
 		t.Error("expected size-mismatch error")
-	}
-}
-
-func TestSnapshotRestoreDoesNotCorruptCheckpoint(t *testing.T) {
-	// The live-recovery path (flat Snapshot/Restore) and the campaign path
-	// (Checkpoint/RestoreCheckpoint) coexist on the same pages: a Restore
-	// must rebuild pages rather than write shared ones in place.
-	m := New()
-	m.MustMap("a", 0x1000, 0x200, PermRW)
-	if err := m.Write64(0x1000, 5); err != nil {
-		t.Fatal(err)
-	}
-	cp := m.Checkpoint()
-	snap := m.Snapshot()
-	if err := m.Write64(0x1000, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Read64(0x1000); v != 5 {
-		t.Fatalf("snapshot restore gave %d, want 5", v)
-	}
-	if err := m.Write64(0x1000, 7); err != nil {
-		t.Fatal(err)
-	}
-	fresh := New()
-	fresh.MustMap("a", 0x1000, 0x200, PermRW)
-	if err := fresh.RestoreCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := fresh.Read64(0x1000); v != 5 {
-		t.Errorf("checkpoint word = %d, want 5", v)
 	}
 }
 

@@ -269,6 +269,9 @@ type Server struct {
 	workerDeaths     atomic.Int64
 	campaignsDone    atomic.Int64
 	campaignsFailed  atomic.Int64
+	// sseDropped counts events not delivered to an SSE subscriber
+	// whose buffer was full, exposed as xentry_sse_dropped_total.
+	sseDropped atomic.Int64
 	// prunedDead/prunedConverged count outcome events by run provenance,
 	// exposed as xentry_pruned_total{reason="..."} so operators can see
 	// the convergence-pruning hit rate of a live campaign.
@@ -494,7 +497,7 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 		spec:   spec,
 		total:  len(spec.Benchmarks) * spec.InjectionsPerBenchmark,
 		store:  st,
-		events: newBroadcaster(),
+		events: newBroadcaster(&s.sseDropped),
 		state:  "running",
 	}
 	c.started = time.Now()
@@ -811,6 +814,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "xentry_shard_retries_total %d\n", s.shardRetries.Load())
 	fmt.Fprintf(w, "xentry_worker_deaths_total %d\n", s.workerDeaths.Load())
 	fmt.Fprintf(w, "xentry_wal_records_dropped_total %d\n", dropped)
+	fmt.Fprintf(w, "xentry_sse_dropped_total %d\n", s.sseDropped.Load())
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"dead\"} %d\n", s.prunedDead.Load())
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"converged\"} %d\n", s.prunedConverged.Load())
 	writeFamily(w, &s.prunedMu, &s.pruned, "xentry_pruned_total{reason=%q,site=%q} %d\n")
@@ -841,17 +845,18 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // broadcaster fans engine events out to any number of SSE subscribers.
-// Slow subscribers drop events rather than stalling workers; the terminal
-// event is re-synthesized by the handler from campaign state, so a drop
-// never wedges a client.
+// Slow subscribers drop events rather than stalling workers, and every
+// drop is counted in *dropped; the terminal event is re-synthesized by
+// the handler from campaign state, so a drop never wedges a client.
 type broadcaster struct {
-	mu     sync.Mutex
-	subs   map[chan Event]struct{}
-	closed bool
+	mu      sync.Mutex
+	subs    map[chan Event]struct{}
+	closed  bool
+	dropped *atomic.Int64
 }
 
-func newBroadcaster() *broadcaster {
-	return &broadcaster{subs: map[chan Event]struct{}{}}
+func newBroadcaster(dropped *atomic.Int64) *broadcaster {
+	return &broadcaster{subs: map[chan Event]struct{}{}, dropped: dropped}
 }
 
 func (b *broadcaster) subscribe() (<-chan Event, func()) {
@@ -880,7 +885,8 @@ func (b *broadcaster) publish(ev Event) {
 	for ch := range b.subs {
 		select {
 		case ch <- ev:
-		default: // slow subscriber: drop
+		default: // slow subscriber: drop, and count it
+			b.dropped.Add(1)
 		}
 	}
 }

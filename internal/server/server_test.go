@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -131,4 +132,32 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		t.Errorf("metrics status = %v", resp.Status)
 	}
 	_ = s
+}
+
+// TestSSEDropsCounted: a subscriber that never reads fills its 256-event
+// buffer, and every event published past that is dropped and counted, so
+// /metrics reports exactly the events that subscriber lost.
+func TestSSEDropsCounted(t *testing.T) {
+	s, client := testServer(t)
+	b := newBroadcaster(&s.sseDropped)
+	_, cancel := b.subscribe() // never read
+	defer cancel()
+	for i := 0; i < 300; i++ {
+		b.publish(Event{Type: EventOutcome, Done: i + 1, Total: 300})
+	}
+	if got := s.sseDropped.Load(); got != 44 {
+		t.Fatalf("dropped %d events, want 44", got)
+	}
+	resp, err := http.Get(strings.TrimRight(client.Base, "/") + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nxentry_sse_dropped_total 44\n") {
+		t.Errorf("/metrics lacks xentry_sse_dropped_total 44:\n%s", body)
+	}
 }

@@ -46,22 +46,14 @@ type Config struct {
 	// pipeline on every machine constructed from this config (one fresh
 	// instance per machine, so detectors may hold per-machine state).
 	Detectors []detect.Factory
-	// SlowPath forces the seed-equivalent interpreter slow path (interface
-	// fetch, per-step hook check and PMU flush, no memory TLB). Campaign
-	// outcomes must be bit-identical either way; the differential tests
-	// enforce that by running whole campaigns with SlowPath set.
+	// SlowPath runs every CPU on the reference stepper (copy fetch,
+	// per-step hook check and PMU flush) over uncached memory: no D-TLB,
+	// every access through the region binary search. Outside the D-TLB
+	// fault site, campaign outcomes are bit-identical either way; the
+	// differential tests enforce that by running whole campaigns with
+	// SlowPath set. The D-TLB site does not exist on this path, so a
+	// campaign refuses SlowPath with a dtlb target (inject.ErrSlowPathDTLB).
 	SlowPath bool
-	// SwitchDispatch disables the direct-threaded translator and runs the
-	// fast interpreter through the devirtualized semantics-table switch
-	// instead (cpu.CPU.DisableThreaded). Outcomes are bit-identical either
-	// way; the dual-dispatch differential tests run whole campaigns with
-	// this set to prove it.
-	SwitchDispatch bool
-	// LegacyDetection routes the sentry through the seed's hard-coded
-	// detection switch instead of the pipeline (see core.Sentry.
-	// ForceLegacy). Like SlowPath it exists for the differential tests
-	// that prove the refactor is bit-identical, and for triage.
-	LegacyDetection bool
 }
 
 // DefaultConfig mirrors the paper's injection setup.
@@ -157,8 +149,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.CPU.ForceSlow = cfg.SlowPath
-	h.CPU.DisableThreaded = cfg.SwitchDispatch
+	for _, c := range h.CPUs {
+		c.ForceSlow = cfg.SlowPath
+	}
 	h.Mem.DisableTLB = cfg.SlowPath
 	if cfg.SlowPath {
 		// Construction-time pokes warmed the TLB; purge so the forced
@@ -166,7 +159,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		h.Mem.InvalidateTLB()
 	}
 	sentry := core.New(h, cfg.Detection)
-	sentry.ForceLegacy = cfg.LegacyDetection
 	for _, f := range cfg.Detectors {
 		sentry.AddDetector(f())
 	}

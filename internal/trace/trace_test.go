@@ -90,7 +90,7 @@ func TestTracerRingBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := New(10)
-	detach := tr.Attach(m.HV.CPU, m.HV.Seg)
+	detach := tr.Attach(m.HV.CPU)
 	if _, err := m.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestAttachChainsExistingHook(t *testing.T) {
 	calls := 0
 	c.PreStep = func(step, pc uint64) { calls++ }
 	tr := New(0)
-	detach := tr.Attach(c, m.HV.Seg)
+	detach := tr.Attach(c)
 	if _, err := m.Step(); err != nil {
 		t.Fatal(err)
 	}

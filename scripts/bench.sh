@@ -16,11 +16,14 @@
 #              throughput (inj/s) per checkpoint-interval variant, K=1
 #              throughput per fault-site class on a 4-vCPU machine,
 #              training-data collection (ns/injection), the
-#              interpreter's per-instruction cost (ns/instr) on the fast
-#              and forced-slow paths, the D-TLB hit/miss cost, the wire
-#              codec's encode/decode cost (must stay 0 allocs/op), and
-#              fleet ingest throughput (inj/s through one coordinator
-#              from 10 loopback workers).
+#              interpreter's per-instruction cost (ns/instr) on the
+#              production (fast) and reference (slow) steppers, the D-TLB
+#              hit/miss cost, the wire codec's encode/decode cost (must
+#              stay 0 allocs/op), and fleet ingest throughput (inj/s
+#              through one coordinator from 10 loopback workers).
+#              Reports up to BENCH_pr10.json also carry a /switch
+#              interpreter variant; that dispatcher is retired, and
+#              benchgate leaves the unpaired entry out of the diff.
 # Each benchmark runs three times (matching the baseline protocol) and
 # every metric is recorded as a three-element array, so shared-machine
 # noise is visible instead of averaged away. BenchmarkCPURunHot/fast must

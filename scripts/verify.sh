@@ -21,11 +21,12 @@ go build ./...
 go vet ./...
 go test ./...
 go test -run '^$' -bench . -benchtime 1x ./...
-# Dual-dispatch differential fuzzing: a short deterministic-corpus run
-# plus a brief live-fuzz burst over the threaded-vs-switch harness, so
-# translator changes cannot land without surviving randomized programs.
-go test -run FuzzThreadedVsSwitch ./internal/cpu/
-go test -run '^$' -fuzz FuzzThreadedVsSwitch -fuzztime 15s ./internal/cpu/
+# Translator differential fuzzing: a short deterministic-corpus run plus
+# a brief live-fuzz burst holding the threaded stepper to the reference
+# stepper, so translator changes cannot land without surviving randomized
+# programs.
+go test -run FuzzThreadedVsSlow ./internal/cpu/
+go test -run '^$' -fuzz FuzzThreadedVsSlow -fuzztime 15s ./internal/cpu/
 # Wire-protocol fuzzing: the deterministic corpus plus a live burst over
 # the frame splitter / record decoder / message decoder, so codec changes
 # cannot land without surviving adversarial bytes (the fleet coordinator
